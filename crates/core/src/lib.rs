@@ -15,10 +15,14 @@
 //!   copies), each with an analytic FLOP/byte cost and a `Region`
 //!   parameter implementing the paper's inner / x-boundary / y-boundary
 //!   kernel splitting (overlap method 2).
-//! * [`single`] — the single-GPU driver (Fig. 1 execution flow).
+//! * `step` — the one step program both drivers run: the Fig. 1
+//!   execution flow, device setup, the guard/checkpoint cadence and the
+//!   three overlap optimizations (Figs. 7–8), behind a halo policy.
+//! * [`single`] — the single-GPU driver, the step program over local
+//!   periodic halos.
 //! * [`decomp`], [`halo`], [`multi`] — 2-D domain decomposition, halo
-//!   exchange through host staging (Fig. 6), and the multi-GPU driver
-//!   with the three overlap optimizations (Figs. 7–8).
+//!   exchange through host staging (Fig. 6), and the multi-GPU driver,
+//!   the step program over halo exchanges on every rank.
 //! * [`perf`] — GFlops accounting and report structures for the
 //!   evaluation harnesses.
 
@@ -33,6 +37,7 @@ pub mod monitor;
 pub mod multi;
 pub mod perf;
 pub mod single;
+mod step;
 pub mod view;
 
 pub use checkpoint::Checkpoint;

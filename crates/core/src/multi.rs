@@ -10,66 +10,22 @@
 //! 3. **Logical kernel fusion** — density and potential temperature are
 //!    treated as one logical kernel so the (communication-heavy) density
 //!    exchange hides under the fused computation.
+//!
+//! Every rank runs the shared step program (`crate::step`) over the
+//! exchange halo policy, which holds the three methods. This module
+//! spawns the ranks, runs the end-of-step heartbeat and lockstep
+//! rollback, and aggregates the report.
 
-use crate::checkpoint::Checkpoint;
 use crate::decomp::Decomp;
 use crate::error::ModelError;
-use crate::fields::DeviceState;
 use crate::geom::DeviceGeom;
-use crate::halo::HaloExchanger;
-use crate::kernels::boundary;
-use crate::kernels::physics as kphys;
-use crate::kernels::region::{KName, Region};
-use crate::kernels::{advection, eos, helmholtz, pgf, tend, transform};
-use crate::kname;
-use crate::monitor::GuardRails;
-use crate::single::{fault_spec_for_rank, MAX_RESTARTS};
-use cluster::{Comm, LinkFaultSpec, NetworkSpec};
+use crate::step::{self, Halo, StepProgram};
+use cluster::NetworkSpec;
 use dycore::config::ModelConfig;
 use dycore::grid::{BaseFields, Grid};
 use dycore::state::State;
 use numerics::Real;
-use physics::base::BaseState;
-use vgpu::{Device, DeviceSpec, ExecMode, StreamId, VgpuError};
-
-const KN_ADV_U: KName = kname!("advection_u");
-const KN_ADV_V: KName = kname!("advection_v");
-const KN_ADV_W: KName = kname!("advection_w");
-const KN_ADV_TH: KName = kname!("advection_theta");
-const KN_ADV_Q: [KName; 7] = [
-    kname!("advection_qv"),
-    kname!("advection_qc"),
-    kname!("advection_qr"),
-    kname!("advection_qi"),
-    kname!("advection_qs"),
-    kname!("advection_qg"),
-    kname!("advection_qh"),
-];
-const KN_MOM_X: KName = kname!("momentum_x");
-const KN_MOM_Y: KName = kname!("momentum_y");
-const KN_HELM: KName = kname!("helmholtz");
-const KN_DENS: KName = kname!("density");
-const KN_PT: KName = kname!("potential_temperature");
-const KN_TRACER: [KName; 7] = [
-    kname!("tracer_qv"),
-    kname!("tracer_qc"),
-    kname!("tracer_qr"),
-    kname!("tracer_qi"),
-    kname!("tracer_qs"),
-    kname!("tracer_qg"),
-    kname!("tracer_qh"),
-];
-
-/// Field ids for halo-exchange message tags.
-mod fid {
-    pub const RHO: u32 = 0;
-    pub const U: u32 = 1;
-    pub const V: u32 = 2;
-    pub const W: u32 = 3;
-    pub const TH: u32 = 4;
-    pub const SPEC: u32 = 6;
-    pub const Q0: u32 = 8; // q_t uses Q0 + t
-}
+use vgpu::{DeviceSpec, ExecMode, VgpuError};
 
 /// Whether the overlap optimizations are applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,798 +111,6 @@ struct RankOut {
     profile_degraded: bool,
     san_findings: u64,
 }
-
-/// Per-rank driver state.
-struct MultiRank<R: Real> {
-    cfg: ModelConfig,
-    grid: Grid,
-    dev: Device<R>,
-    geom: DeviceGeom<R>,
-    ds: DeviceState<R>,
-    ex: HaloExchanger<R>,
-    /// stream for compute (0), y-comm, x-comm.
-    s_comp: StreamId,
-    s_y: StreamId,
-    s_x: StreamId,
-    overlap: OverlapMode,
-    /// Overlap method 1: tracer halo exchanges deferred from the end of
-    /// the previous stage, to be hidden under this stage's big
-    /// advection kernels.
-    tracers_pending: bool,
-}
-
-impl<R: Real> MultiRank<R> {
-    fn exchange_c(
-        &mut self,
-        comm: &mut Comm<Vec<R>>,
-        buf: vgpu::Buf<R>,
-        dims: crate::view::Dims,
-        id: u32,
-    ) -> Result<(), ModelError> {
-        // The comm stream must not start packing until the compute
-        // stream's writes to `buf` have landed; the reverse edge (the
-        // compute stream seeing the unpacked halos) is the exchange's
-        // own `sync_stream`. The overlap paths record this event
-        // explicitly; the serial path needs it just the same.
-        let ev = self.dev.record_event(self.s_comp);
-        self.dev.stream_wait_event(self.s_y, ev);
-        self.ex
-            .exchange(&mut self.dev, comm, self.s_y, buf, dims, id)
-    }
-
-    fn zgrad(&mut self, buf: vgpu::Buf<R>, dims: crate::view::Dims) -> Result<(), VgpuError> {
-        boundary::halo_zero_grad_z(&mut self.dev, self.s_comp, "halo_z", buf, dims)
-    }
-
-    /// Exchange + vertical halo of one field.
-    fn full_halo(
-        &mut self,
-        comm: &mut Comm<Vec<R>>,
-        buf: vgpu::Buf<R>,
-        dims: crate::view::Dims,
-        id: u32,
-    ) -> Result<(), ModelError> {
-        self.exchange_c(comm, buf, dims, id)?;
-        self.zgrad(buf, dims)?;
-        Ok(())
-    }
-
-    /// Slow tendencies (whole-domain kernels; the overlap methods target
-    /// the short-step and tracer phases).
-    fn compute_slow(&mut self, comm: &mut Comm<Vec<R>>) -> Result<(), ModelError> {
-        let st = self.s_comp;
-        let lim = self.cfg.limiter;
-        let kdiff = self.cfg.k_diffusion;
-        let nz = self.geom.nz as isize;
-
-        for (buf, name) in [
-            (self.ds.fu, "clear_fu"),
-            (self.ds.fv, "clear_fv"),
-            (self.ds.fw, "clear_fw"),
-            (self.ds.frho, "clear_frho"),
-            (self.ds.fth, "clear_fth"),
-        ] {
-            transform::zero_buf(&mut self.dev, st, name, buf)?;
-        }
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..self.ds.n_tracers {
-            transform::zero_buf(&mut self.dev, st, "clear_fq", self.ds.fq[t])?;
-        }
-
-        // The one-cell ring of mw that the advection averages read is
-        // computed locally from the (already exchanged) u/v/w halos —
-        // no exchange needed, exactly as in the original code.
-        transform::mass_flux_w(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.u,
-            self.ds.v,
-            self.ds.w,
-            self.ds.mw,
-        )?;
-
-        transform::specific_u(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.u,
-            self.ds.rho,
-            self.ds.spec,
-        )?;
-        self.exchange_c(comm, self.ds.spec, self.geom.dc, fid::SPEC)?;
-        advection::advect_u(
-            &mut self.dev,
-            st,
-            &self.geom,
-            Region::Whole,
-            &KN_ADV_U,
-            lim,
-            self.ds.spec,
-            self.ds.u,
-            self.ds.v,
-            self.ds.mw,
-            self.ds.fu,
-        )?;
-        tend::diffuse(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "diff_u",
-            kdiff,
-            self.ds.spec,
-            None,
-            tend::DiffWeight::U,
-            self.ds.rho,
-            self.ds.fu,
-            0,
-            nz,
-        )?;
-
-        transform::specific_v(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.v,
-            self.ds.rho,
-            self.ds.spec,
-        )?;
-        self.exchange_c(comm, self.ds.spec, self.geom.dc, fid::SPEC)?;
-        advection::advect_v(
-            &mut self.dev,
-            st,
-            &self.geom,
-            Region::Whole,
-            &KN_ADV_V,
-            lim,
-            self.ds.spec,
-            self.ds.u,
-            self.ds.v,
-            self.ds.mw,
-            self.ds.fv,
-        )?;
-        tend::diffuse(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "diff_v",
-            kdiff,
-            self.ds.spec,
-            None,
-            tend::DiffWeight::V,
-            self.ds.rho,
-            self.ds.fv,
-            0,
-            nz,
-        )?;
-
-        transform::specific_w(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.w,
-            self.ds.rho,
-            self.ds.spec_w,
-        )?;
-        advection::advect_w(
-            &mut self.dev,
-            st,
-            &self.geom,
-            Region::Whole,
-            &KN_ADV_W,
-            lim,
-            self.ds.spec_w,
-            self.ds.u,
-            self.ds.v,
-            self.ds.mw,
-            self.ds.fw,
-        )?;
-        tend::diffuse(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "diff_w",
-            kdiff,
-            self.ds.spec_w,
-            None,
-            tend::DiffWeight::W,
-            self.ds.rho,
-            self.ds.fw,
-            1,
-            nz,
-        )?;
-
-        tend::coriolis(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.cfg.coriolis_f,
-            self.ds.u,
-            self.ds.v,
-            self.ds.fu,
-            self.ds.fv,
-        )?;
-        tend::metric_pg(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.p,
-            self.ds.fu,
-            self.ds.fv,
-        )?;
-
-        transform::specific_center(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "transform_theta",
-            self.ds.th,
-            self.ds.rho,
-            self.ds.spec,
-        )?;
-        advection::advect_scalar(
-            &mut self.dev,
-            st,
-            &self.geom,
-            Region::Whole,
-            &KN_ADV_TH,
-            lim,
-            true,
-            self.ds.spec,
-            self.ds.u,
-            self.ds.v,
-            self.ds.mw,
-            self.ds.fth,
-        )?;
-        tend::diffuse(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "diff_theta",
-            kdiff,
-            self.ds.spec,
-            Some(self.geom.th_c),
-            tend::DiffWeight::Center,
-            self.ds.rho,
-            self.ds.fth,
-            0,
-            nz,
-        )?;
-        tend::add_div_lin_theta(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.u,
-            self.ds.v,
-            self.ds.w,
-            self.ds.fth,
-        )?;
-
-        tend::continuity_residual(
-            &mut self.dev,
-            st,
-            &self.geom,
-            self.ds.u,
-            self.ds.v,
-            self.ds.w,
-            self.ds.mw,
-            self.ds.frho,
-        )?;
-
-        // Overlap method 1 (Fig. 7): the tracer halo exchanges deferred
-        // from the previous stage complete here, hidden under the
-        // momentum/θ advection kernels issued above, just in time for
-        // this stage's tracer advection.
-        if self.tracers_pending {
-            #[allow(clippy::needless_range_loop)]
-            for t in 0..self.ds.n_tracers {
-                let buf = self.ds.q[t];
-                self.full_halo(comm, buf, self.geom.dc, fid::Q0 + t as u32)?;
-            }
-            self.tracers_pending = false;
-        }
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..self.ds.n_tracers {
-            transform::specific_center(
-                &mut self.dev,
-                st,
-                &self.geom,
-                "transform_q",
-                self.ds.q[t],
-                self.ds.rho,
-                self.ds.spec,
-            )?;
-            advection::advect_scalar(
-                &mut self.dev,
-                st,
-                &self.geom,
-                Region::Whole,
-                &KN_ADV_Q[t],
-                lim,
-                true,
-                self.ds.spec,
-                self.ds.u,
-                self.ds.v,
-                self.ds.mw,
-                self.ds.fq[t],
-            )?;
-            tend::diffuse(
-                &mut self.dev,
-                st,
-                &self.geom,
-                "diff_q",
-                kdiff,
-                self.ds.spec,
-                None,
-                tend::DiffWeight::Center,
-                self.ds.rho,
-                self.ds.fq[t],
-                0,
-                nz,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// One acoustic substep, non-overlapping: whole-domain kernels, then
-    /// serial exchanges.
-    fn acoustic_substep_serial(
-        &mut self,
-        comm: &mut Comm<Vec<R>>,
-        dtau: f64,
-    ) -> Result<(), ModelError> {
-        let st = self.s_comp;
-        pgf::momentum_x(
-            &mut self.dev,
-            st,
-            &self.geom,
-            Region::Whole,
-            &KN_MOM_X,
-            self.ds.p,
-            self.ds.fu,
-            dtau,
-            self.ds.u,
-        )?;
-        pgf::momentum_y(
-            &mut self.dev,
-            st,
-            &self.geom,
-            Region::Whole,
-            &KN_MOM_Y,
-            self.ds.p,
-            self.ds.fv,
-            dtau,
-            self.ds.v,
-        )?;
-        self.exchange_c(comm, self.ds.u, self.geom.dc, fid::U)?;
-        self.exchange_c(comm, self.ds.v, self.geom.dc, fid::V)?;
-        self.helmholtz_block(Region::Whole, dtau)?;
-        // The Helmholtz outputs travel every substep (the paper's Fig. 9
-        // short-step communication rows: momentum x/y, Helmholtz (w),
-        // density, potential temperature).
-        self.full_halo(comm, self.ds.th, self.geom.dc, fid::TH)?;
-        self.full_halo(comm, self.ds.rho, self.geom.dc, fid::RHO)?;
-        self.full_halo(comm, self.ds.w, self.geom.dw, fid::W)?;
-        eos::eos_linear(
-            &mut self.dev,
-            self.s_comp,
-            &self.geom,
-            self.ds.th,
-            self.ds.th_ref,
-            self.ds.p_ref,
-            self.ds.p,
-        )?;
-        Ok(())
-    }
-
-    fn helmholtz_block(&mut self, region: Region, dtau: f64) -> Result<(), VgpuError> {
-        let st = self.s_comp;
-        helmholtz::helmholtz(
-            &mut self.dev,
-            st,
-            &self.geom,
-            region,
-            &KN_HELM,
-            self.cfg.beta,
-            dtau,
-            helmholtz::HelmholtzArgs {
-                u: self.ds.u,
-                v: self.ds.v,
-                w: self.ds.w,
-                rho: self.ds.rho,
-                th: self.ds.th,
-                p: self.ds.p,
-                fu_w: self.ds.fw,
-                frho: self.ds.frho,
-                fth: self.ds.fth,
-                th_ref: self.ds.th_ref,
-                p_ref: self.ds.p_ref,
-                st_rho: self.ds.spec,
-                st_th: self.ds.flux,
-            },
-        )?;
-        helmholtz::density(
-            &mut self.dev,
-            st,
-            &self.geom,
-            region,
-            &KN_DENS,
-            self.cfg.beta,
-            dtau,
-            self.ds.spec,
-            self.ds.w,
-            self.ds.rho,
-        )?;
-        helmholtz::potential_temperature(
-            &mut self.dev,
-            st,
-            &self.geom,
-            region,
-            &KN_PT,
-            self.cfg.beta,
-            dtau,
-            self.ds.flux,
-            self.ds.w,
-            self.ds.th,
-        )
-    }
-
-    /// One acoustic substep with overlap methods 2 and 3 (Fig. 8): the
-    /// boundary strips of every short-step variable are computed first,
-    /// their exchange proceeds while the inner kernels run.
-    fn acoustic_substep_overlap(
-        &mut self,
-        comm: &mut Comm<Vec<R>>,
-        dtau: f64,
-    ) -> Result<(), ModelError> {
-        // (1)+(2): boundary momentum kernels.
-        for region in [Region::YBound, Region::XBound] {
-            pgf::momentum_x(
-                &mut self.dev,
-                self.s_comp,
-                &self.geom,
-                region,
-                &KN_MOM_X,
-                self.ds.p,
-                self.ds.fu,
-                dtau,
-                self.ds.u,
-            )?;
-            pgf::momentum_y(
-                &mut self.dev,
-                self.s_comp,
-                &self.geom,
-                region,
-                &KN_MOM_Y,
-                self.ds.p,
-                self.ds.fv,
-                dtau,
-                self.ds.v,
-            )?;
-        }
-        // Order streams: comm streams wait for the boundary values.
-        let ev = self.dev.record_event(self.s_comp);
-        self.dev.stream_wait_event(self.s_y, ev);
-        self.dev.stream_wait_event(self.s_x, ev);
-        // (4): inner kernels issued *before* the host blocks on MPI, so
-        // the DES overlaps them with the transfers.
-        pgf::momentum_x(
-            &mut self.dev,
-            self.s_comp,
-            &self.geom,
-            Region::Inner,
-            &KN_MOM_X,
-            self.ds.p,
-            self.ds.fu,
-            dtau,
-            self.ds.u,
-        )?;
-        pgf::momentum_y(
-            &mut self.dev,
-            self.s_comp,
-            &self.geom,
-            Region::Inner,
-            &KN_MOM_Y,
-            self.ds.p,
-            self.ds.fv,
-            dtau,
-            self.ds.v,
-        )?;
-        // (5)+(6): batched exchanges on the comm streams (y carries the
-        // corners, then x).
-        let uv = [
-            crate::halo::FieldRef {
-                buf: self.ds.u,
-                dims: self.geom.dc,
-                id: fid::U,
-            },
-            crate::halo::FieldRef {
-                buf: self.ds.v,
-                dims: self.geom.dc,
-                id: fid::V,
-            },
-        ];
-        self.ex
-            .exchange_y_many(&mut self.dev, comm, self.s_y, &uv)?;
-        self.ex
-            .exchange_x_many(&mut self.dev, comm, self.s_x, &uv)?;
-        self.dev.sync_all();
-
-        // Helmholtz + fused density/θ (method 3): boundary first, then
-        // exchange overlapped with the inner block.
-        for region in [Region::YBound, Region::XBound] {
-            self.helmholtz_block(region, dtau)?;
-        }
-        let ev = self.dev.record_event(self.s_comp);
-        self.dev.stream_wait_event(self.s_y, ev);
-        self.dev.stream_wait_event(self.s_x, ev);
-        self.helmholtz_block(Region::Inner, dtau)?;
-        // Fused ρ+Θ(+w) logical-kernel exchange (overlap method 3),
-        // hidden under the inner Helmholtz block.
-        let thrho = [
-            crate::halo::FieldRef {
-                buf: self.ds.th,
-                dims: self.geom.dc,
-                id: fid::TH,
-            },
-            crate::halo::FieldRef {
-                buf: self.ds.rho,
-                dims: self.geom.dc,
-                id: fid::RHO,
-            },
-            crate::halo::FieldRef {
-                buf: self.ds.w,
-                dims: self.geom.dw,
-                id: fid::W,
-            },
-        ];
-        self.ex
-            .exchange_y_many(&mut self.dev, comm, self.s_y, &thrho)?;
-        self.ex
-            .exchange_x_many(&mut self.dev, comm, self.s_x, &thrho)?;
-        self.dev.sync_all();
-        self.zgrad(self.ds.th, self.geom.dc)?;
-        self.zgrad(self.ds.rho, self.geom.dc)?;
-        self.zgrad(self.ds.w, self.geom.dw)?;
-        eos::eos_linear(
-            &mut self.dev,
-            self.s_comp,
-            &self.geom,
-            self.ds.th,
-            self.ds.th_ref,
-            self.ds.p_ref,
-            self.ds.p,
-        )?;
-        Ok(())
-    }
-
-    /// One long step.
-    fn step(&mut self, comm: &mut Comm<Vec<R>>) -> Result<(), ModelError> {
-        let st = self.s_comp;
-        let dt = self.cfg.dt;
-
-        transform::copy_buf(&mut self.dev, st, "save_rho_t", self.ds.rho, self.ds.rho_t)?;
-        transform::copy_buf(&mut self.dev, st, "save_u_t", self.ds.u, self.ds.u_t)?;
-        transform::copy_buf(&mut self.dev, st, "save_v_t", self.ds.v, self.ds.v_t)?;
-        transform::copy_buf(&mut self.dev, st, "save_w_t", self.ds.w, self.ds.w_t)?;
-        transform::copy_buf(&mut self.dev, st, "save_th_t", self.ds.th, self.ds.th_t)?;
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..self.ds.n_tracers {
-            transform::copy_buf(&mut self.dev, st, "save_q_t", self.ds.q[t], self.ds.q_t[t])?;
-        }
-
-        for s in 1..=3usize {
-            let dts = dt * self.cfg.dt_fraction_for_stage(s);
-            let nsub = self.cfg.substeps_for_stage(s);
-            let dtau = dts / nsub as f64;
-
-            self.compute_slow(comm)?;
-            transform::copy_buf(
-                &mut self.dev,
-                st,
-                "capture_th_ref",
-                self.ds.th,
-                self.ds.th_ref,
-            )?;
-            eos::eos_full(
-                &mut self.dev,
-                st,
-                &self.geom,
-                "eos_ref",
-                self.ds.th_ref,
-                self.ds.p_ref,
-            )?;
-
-            transform::copy_buf(&mut self.dev, st, "restore_rho", self.ds.rho_t, self.ds.rho)?;
-            transform::copy_buf(&mut self.dev, st, "restore_u", self.ds.u_t, self.ds.u)?;
-            transform::copy_buf(&mut self.dev, st, "restore_v", self.ds.v_t, self.ds.v)?;
-            transform::copy_buf(&mut self.dev, st, "restore_w", self.ds.w_t, self.ds.w)?;
-            transform::copy_buf(&mut self.dev, st, "restore_th", self.ds.th_t, self.ds.th)?;
-            eos::eos_linear(
-                &mut self.dev,
-                st,
-                &self.geom,
-                self.ds.th,
-                self.ds.th_ref,
-                self.ds.p_ref,
-                self.ds.p,
-            )?;
-
-            for _ in 0..nsub {
-                match self.overlap {
-                    OverlapMode::None => self.acoustic_substep_serial(comm, dtau)?,
-                    OverlapMode::Overlap => self.acoustic_substep_overlap(comm, dtau)?,
-                }
-            }
-            self.full_halo(comm, self.ds.w, self.geom.dw, fid::W)?;
-
-            // Tracers: overlap method 1 — the update kernel for variable
-            // t+1 is issued before variable t's halo exchange blocks.
-            match self.overlap {
-                OverlapMode::None =>
-                {
-                    #[allow(clippy::needless_range_loop)]
-                    for t in 0..self.ds.n_tracers {
-                        tend::tracer_update(
-                            &mut self.dev,
-                            st,
-                            &self.geom,
-                            Region::Whole,
-                            &KN_TRACER[t],
-                            dts,
-                            self.ds.q_t[t],
-                            self.ds.fq[t],
-                            self.ds.q[t],
-                        )?;
-                        self.full_halo(comm, self.ds.q[t], self.geom.dc, fid::Q0 + t as u32)?;
-                    }
-                }
-                OverlapMode::Overlap => {
-                    // Method 1: update kernels now; the exchanges are
-                    // deferred into the next slow-tendency phase where
-                    // they hide under the advection kernels.
-                    let n = self.ds.n_tracers;
-                    #[allow(clippy::needless_range_loop)]
-                    for t in 0..n {
-                        tend::tracer_update(
-                            &mut self.dev,
-                            st,
-                            &self.geom,
-                            Region::Whole,
-                            &KN_TRACER[t],
-                            dts,
-                            self.ds.q_t[t],
-                            self.ds.fq[t],
-                            self.ds.q[t],
-                        )?;
-                        self.zgrad(self.ds.q[t], self.geom.dc)?;
-                    }
-                    self.tracers_pending = true;
-                }
-            }
-        }
-
-        if self.cfg.microphysics && self.ds.n_tracers >= 3 {
-            kphys::warm_rain(
-                &mut self.dev,
-                st,
-                &self.geom,
-                dt,
-                self.ds.rho,
-                self.ds.th,
-                self.ds.p,
-                self.ds.q[0],
-                self.ds.q[1],
-                self.ds.q[2],
-            )?;
-            kphys::sediment(
-                &mut self.dev,
-                st,
-                &self.geom,
-                dt,
-                self.ds.rho,
-                self.ds.q[2],
-                self.ds.precip,
-            )?;
-        }
-        kphys::rayleigh(
-            &mut self.dev,
-            st,
-            &self.geom,
-            &self.grid,
-            self.cfg.rayleigh.z_bottom,
-            self.cfg.rayleigh.rate,
-            dt,
-            self.ds.w,
-            self.ds.th,
-            self.ds.rho,
-        )?;
-
-        // Final halos + full EOS.
-        match self.overlap {
-            OverlapMode::None => {
-                self.full_halo(comm, self.ds.rho, self.geom.dc, fid::RHO)?;
-                self.full_halo(comm, self.ds.u, self.geom.dc, fid::U)?;
-                self.full_halo(comm, self.ds.v, self.geom.dc, fid::V)?;
-                self.full_halo(comm, self.ds.w, self.geom.dw, fid::W)?;
-                self.full_halo(comm, self.ds.th, self.geom.dc, fid::TH)?;
-                #[allow(clippy::needless_range_loop)]
-                for t in 0..self.ds.n_tracers {
-                    self.full_halo(comm, self.ds.q[t], self.geom.dc, fid::Q0 + t as u32)?;
-                }
-            }
-            OverlapMode::Overlap => {
-                // u/v are untouched by the physics kernels: their
-                // exchange proceeds while warm rain / sedimentation /
-                // sponge still run on the compute engine.
-                let uv = [
-                    crate::halo::FieldRef {
-                        buf: self.ds.u,
-                        dims: self.geom.dc,
-                        id: fid::U,
-                    },
-                    crate::halo::FieldRef {
-                        buf: self.ds.v,
-                        dims: self.geom.dc,
-                        id: fid::V,
-                    },
-                ];
-                self.ex
-                    .exchange_y_many(&mut self.dev, comm, self.s_y, &uv)?;
-                self.ex
-                    .exchange_x_many(&mut self.dev, comm, self.s_x, &uv)?;
-                // The physics outputs travel once the physics kernels
-                // have drained (cross-stream event ordering).
-                let ev = self.dev.record_event(self.s_comp);
-                self.dev.stream_wait_event(self.s_y, ev);
-                self.dev.stream_wait_event(self.s_x, ev);
-                let rtw = [
-                    crate::halo::FieldRef {
-                        buf: self.ds.rho,
-                        dims: self.geom.dc,
-                        id: fid::RHO,
-                    },
-                    crate::halo::FieldRef {
-                        buf: self.ds.th,
-                        dims: self.geom.dc,
-                        id: fid::TH,
-                    },
-                    crate::halo::FieldRef {
-                        buf: self.ds.w,
-                        dims: self.geom.dw,
-                        id: fid::W,
-                    },
-                ];
-                self.ex
-                    .exchange_y_many(&mut self.dev, comm, self.s_y, &rtw)?;
-                self.ex
-                    .exchange_x_many(&mut self.dev, comm, self.s_x, &rtw)?;
-                for (buf, dims) in [
-                    (self.ds.rho, self.geom.dc),
-                    (self.ds.u, self.geom.dc),
-                    (self.ds.v, self.geom.dc),
-                    (self.ds.w, self.geom.dw),
-                    (self.ds.th, self.geom.dc),
-                ] {
-                    self.zgrad(buf, dims)?;
-                }
-                // (the deferred tracer exchanges complete at the start
-                // of the next stage's slow-tendency phase)
-            }
-        }
-        eos::eos_full(
-            &mut self.dev,
-            st,
-            &self.geom,
-            "eos_full",
-            self.ds.th,
-            self.ds.p,
-        )?;
-        self.dev.sync_all();
-        Ok(())
-    }
-}
-
 /// Initial-condition hook applied to each rank's host state before
 /// upload.
 pub type InitFn = dyn Fn(usize, &Grid, &BaseFields, &mut State) + Sync;
@@ -974,166 +138,60 @@ pub fn run_multi<R: Real>(
     let ranks = decomp.ranks();
     let (gnx, gny) = decomp.global_disjoint();
 
-    let results = cluster::try_spawn_ranks::<Vec<R>, Result<RankOut, ModelError>, _>(
-        ranks,
-        mc.net,
-        |mut comm| {
+    let results =
+        cluster::try_spawn_ranks::<Vec<R>, Result<RankOut, ModelError>, _>(ranks, mc.net, |comm| {
             let rank = comm.rank();
+            let cfg = &mc.local_cfg;
             let (x0, y0) = decomp.origin_disjoint(rank);
-            let grid = Grid::build_sub(&mc.local_cfg, x0, y0, gnx, gny);
-            let functional = mc.mode == ExecMode::Functional;
-            let threads = if mc.local_cfg.threads == 0 {
-                numerics::par::default_threads()
-            } else {
-                mc.local_cfg.threads
-            };
-            let simd = mc
-                .local_cfg
-                .simd
-                .unwrap_or_else(numerics::simd::default_enabled);
-            let mut dev = Device::<R>::new(
-                mc.spec
-                    .clone()
-                    .with_host_threads(threads)
-                    .with_host_simd(simd),
-                mc.mode,
-            );
+            let grid = Grid::build_sub(cfg, x0, y0, gnx, gny);
+            let mut dev = step::device::<R>(cfg, mc.spec.clone(), mc.mode);
             // Detailed records only where the breakdown harness reads
             // them (rank 0); totals accumulate everywhere.
             dev.profiler.set_detailed(mc.detailed_profile && rank == 0);
             // Host base fields are only materialized when the run is
             // functional; paper-scale phantom runs skip the (large)
             // 3-D host arrays entirely.
-            let base = if functional {
-                let profile = BaseState {
-                    profile: mc.local_cfg.base,
-                    p_surface: physics::consts::P00,
-                };
-                Some(BaseFields::build(&grid, &profile))
-            } else {
-                None
-            };
+            let base = (mc.mode == ExecMode::Functional).then(|| step::base_fields(cfg, &grid));
             let geom = match &base {
                 Some(b) => DeviceGeom::build(&mut dev, &grid, b),
                 None => DeviceGeom::build_phantom(&mut dev, &grid),
             };
-            let ds = DeviceState::alloc(&mut dev, &geom, mc.local_cfg.n_tracers)?;
-            let s_y = dev.create_stream();
-            let s_x = dev.create_stream();
-            let ex = HaloExchanger::new(&mut dev, &decomp.topo, rank, geom.dc, geom.dw);
+            let halo = Halo::exchange(&mut dev, &geom, &decomp.topo, comm, mc.overlap);
+            let mut prog = StepProgram::assemble(cfg.clone(), grid, (), dev, geom, halo)?;
 
-            let mut mr = MultiRank {
-                cfg: mc.local_cfg.clone(),
-                grid,
-                dev,
-                geom,
-                ds,
-                ex,
-                s_comp: StreamId::DEFAULT,
-                s_y,
-                s_x,
-                overlap: mc.overlap,
-                tracers_pending: false,
-            };
-
-            // Initial condition on the host, then upload.
-            if let Some(b) = &base {
-                let mut s = State::zeros(&mr.grid, mc.local_cfg.n_tracers);
-                dycore::model::install_base_state(&mr.grid, b, &mut s);
-                s.fill_halos_periodic();
-                init(rank, &mr.grid, b, &mut s);
-                mr.ds.upload(&mut mr.dev, &mr.geom, &s);
-            } else {
-                mr.ds.upload_phantom(&mut mr.dev, &mr.geom);
-            }
-            // Initial halo consistency + EOS.
-            mr.full_halo(&mut comm, mr.ds.rho, mr.geom.dc, fid::RHO)?;
-            mr.full_halo(&mut comm, mr.ds.u, mr.geom.dc, fid::U)?;
-            mr.full_halo(&mut comm, mr.ds.v, mr.geom.dc, fid::V)?;
-            mr.full_halo(&mut comm, mr.ds.w, mr.geom.dw, fid::W)?;
-            mr.full_halo(&mut comm, mr.ds.th, mr.geom.dc, fid::TH)?;
-            for t in 0..mr.ds.n_tracers {
-                let buf = mr.ds.q[t];
-                mr.full_halo(&mut comm, buf, mr.geom.dc, fid::Q0 + t as u32)?;
-            }
-            eos::eos_full(
-                &mut mr.dev,
-                mr.s_comp,
-                &mr.geom,
-                "eos_full",
-                mr.ds.th,
-                mr.ds.p,
-            )?;
-            mr.dev.sync_all();
-
-            // Robustness machinery allocates during setup (before fault
-            // plans arm), so its buffers can never be failed by
-            // injection.
-            let cp_every = mc.local_cfg.checkpoint_every;
-            let guard_every = mc.local_cfg.guard_every;
-            let guard = if guard_every > 0 {
-                Some(GuardRails::new(&mut mr.dev, &mr.geom)?)
-            } else {
-                None
-            };
-            let mut last_cp = if cp_every > 0 {
-                Some(Checkpoint::capture(&mut mr.dev, &mr.ds, &mr.geom, 0, 0.0))
-            } else {
-                None
-            };
-
-            // Arm the fault schedules only now: initialization is never
-            // injected, and op-index -> draw mapping starts from the
-            // first measured step regardless of init details.
-            let fault = mc.local_cfg.fault;
-            let mut profile_degraded = false;
-            if let Some(f) = &fault {
-                mr.dev.set_fault_plan(fault_spec_for_rank(f, rank));
-                comm.enable_link_faults(LinkFaultSpec {
-                    drop_rate: f.drop_rate,
-                    delay_rate: f.delay_rate,
-                    delay_s: f.delay_s,
-                    ..LinkFaultSpec::quiet(f.seed)
-                });
-                // Graceful degradation: probe one scratch allocation
-                // under the armed plan; on an injected OOM, drop the
-                // (memory-hungry) detailed profiling instead of dying.
-                match mr.dev.alloc(boundary::x_strip_len(mr.geom.dc)) {
-                    Err(VgpuError::Oom { injected: true, .. }) => {
-                        profile_degraded = true;
-                        mr.dev.profiler.set_detailed(false);
-                    }
-                    Ok(probe) => {
-                        let _ = mr.dev.free(probe);
-                    }
-                    Err(_) => {}
-                }
-            }
+            // Initial condition on the host, then upload, halos + EOS.
+            let state = base.map(|b| {
+                let mut s = step::resting_state(&prog.grid, &b, cfg.n_tracers);
+                init(rank, &prog.grid, &b, &mut s);
+                s
+            });
+            prog.load(state.as_ref())?;
+            drop(state);
+            prog.dev.sync_all();
+            prog.checkpoint();
+            let profile_degraded = prog.arm_faults(rank);
 
             // Measure only the time-step loop (the paper's benchmarks
             // exclude initialization).
-            mr.dev.profiler.reset();
-            mr.ex.stats = Default::default();
-            let t_start = mr.dev.host_time();
+            prog.dev.profiler.reset();
+            prog.halo.rank().0.stats = Default::default();
+            let t_start = prog.dev.host_time();
 
             let target = mc.steps as u64;
-            let dt = mc.local_cfg.dt;
-            let (dx, dy, dzeta) = (mc.local_cfg.dx, mc.local_cfg.dy, mc.local_cfg.dzeta());
-            let mut step_idx: u64 = 0;
-            let mut restarts: u64 = 0;
+            let fault = cfg.fault;
             let mut stragglers: u64 = 0;
             // One-shot (rank, after-step) death, consumed on first
             // trigger so the replayed steps do not re-kill the rank.
             let mut death_pending = fault.as_ref().and_then(|f| f.death);
 
-            while step_idx < target {
-                let busy0 = mr.dev.profiler.flops_and_time().1;
-                mr.step(&mut comm)?;
-                step_idx += 1;
+            while prog.steps_taken < target {
+                let busy0 = prog.dev.profiler.flops_and_time().1;
+                prog.step()?;
+                let step_idx = prog.steps_taken;
                 // Kernel-busy delta, not wall duration: halo exchanges
                 // synchronize the ranks every step, so wall durations
                 // equalize and would hide a straggler.
-                let busy = mr.dev.profiler.flops_and_time().1 - busy0;
+                let busy = prog.dev.profiler.flops_and_time().1 - busy0;
 
                 if let Some(f) = &fault {
                     // End-of-step heartbeat: [death flag, kernel-busy
@@ -1145,9 +203,9 @@ pub fn run_multi<R: Real>(
                     } else {
                         0.0
                     };
-                    let now = mr.dev.host_time();
-                    let (hb, now2) = comm.allgather_f64(vec![flag, busy], now)?;
-                    mr.dev.host_at_least(now2);
+                    let now = prog.dev.host_time();
+                    let (hb, now2) = prog.halo.rank().1.allgather_f64(vec![flag, busy], now)?;
+                    prog.dev.host_at_least(now2);
                     let (mut dmin, mut dmax) = (f64::INFINITY, 0.0f64);
                     let mut died = false;
                     for h in &hb {
@@ -1163,14 +221,7 @@ pub fn run_multi<R: Real>(
                         // Every rank saw the flag; consume the death and
                         // roll back in lockstep.
                         death_pending = None;
-                        let cp =
-                            last_cp
-                                .as_ref()
-                                .ok_or(ModelError::Gpu(VgpuError::DeviceLost {
-                                    op_index: step_idx,
-                                    kernel: "rank_death",
-                                }))?;
-                        if restarts >= MAX_RESTARTS {
+                        if !prog.can_restart() {
                             return Err(ModelError::Gpu(VgpuError::DeviceLost {
                                 op_index: step_idx,
                                 kernel: "rank_death",
@@ -1181,67 +232,37 @@ pub fn run_multi<R: Real>(
                             // The dying rank pays the respawn cost on
                             // its virtual clock; peers absorb it through
                             // subsequent message timing.
-                            mr.dev.host_advance(f.respawn_penalty_s);
+                            prog.dev.host_advance(f.respawn_penalty_s);
                         }
-                        cp.restore(&mut mr.dev, &mr.ds, &mr.geom);
-                        step_idx = cp.step;
-                        restarts += 1;
+                        prog.rollback();
                         continue;
                     }
                 }
-
-                if guard_every > 0 && step_idx.is_multiple_of(guard_every) {
-                    if let Some(g) = &guard {
-                        g.check(&mut mr.dev, &mr.ds, &mr.geom, step_idx, dt, dx, dy, dzeta)?;
-                    }
-                }
-                if cp_every > 0 && step_idx.is_multiple_of(cp_every) {
-                    last_cp = Some(Checkpoint::capture(
-                        &mut mr.dev,
-                        &mr.ds,
-                        &mr.geom,
-                        step_idx,
-                        step_idx as f64 * dt,
-                    ));
-                }
+                prog.after_step()?;
             }
-            let elapsed = mr.dev.host_time() - t_start;
+            let elapsed = prog.dev.host_time() - t_start;
 
-            let (flops, kbusy) = mr.dev.profiler.flops_and_time();
-            let pcie = mr.dev.profiler.total_copy_time;
-            let breakdown: Vec<(String, u64, f64)> = mr
+            let (flops, kbusy) = prog.dev.profiler.flops_and_time();
+            let pcie = prog.dev.profiler.total_copy_time;
+            let breakdown: Vec<(String, u64, f64)> = prog
                 .dev
                 .profiler
                 .by_name()
                 .into_iter()
                 .map(|a| (a.name.to_string(), a.calls, a.seconds))
                 .collect();
-            let final_state = if mc.mode == ExecMode::Functional {
-                let mut out = State::zeros(&mr.grid, mc.local_cfg.n_tracers);
-                mr.ds.download(&mut mr.dev, &mr.geom, &mut out);
-                Some(out)
-            } else {
-                None
-            };
-            let fs = mr.dev.fault_stats();
-            let ls = comm.link_stats();
-            let mpi_wait = mr.ex.stats.mpi_wait_s;
+            let final_state = (mc.mode == ExecMode::Functional).then(|| {
+                let mut out = State::zeros(&prog.grid, cfg.n_tracers);
+                prog.save_state(&mut out);
+                out
+            });
+            let fs = prog.dev.fault_stats();
+            let (ex, comm) = prog.halo.rank();
+            let (mpi_wait, ls) = (ex.stats.mpi_wait_s, comm.link_stats());
+            let restarts = prog.restarts;
             // Teardown: free every device allocation, then drain the
             // sanitizer (leakcheck certifies a clean per-rank heap).
-            let MultiRank {
-                mut dev,
-                geom,
-                ds,
-                ex,
-                ..
-            } = mr;
-            if let Some(g) = guard {
-                g.free(&mut dev);
-            }
-            ex.free(&mut dev);
-            ds.free(&mut dev);
-            geom.free(&mut dev);
-            let san_findings = match dev.san_finish() {
+            let san_findings = match prog.san_finish() {
                 Some(rep) if !rep.findings.is_empty() => {
                     eprintln!("vsan (rank {rank}):\n{rep}");
                     rep.findings.len() as u64
@@ -1267,8 +288,7 @@ pub fn run_multi<R: Real>(
                 profile_degraded,
                 san_findings,
             })
-        },
-    );
+        });
 
     let mut outs = Vec::with_capacity(ranks);
     for r in results {

@@ -4,14 +4,16 @@
 //! simulated timeline, never data; see DESIGN.md §10).
 //!
 //! Scenarios {message drops, ECC retries, OOM degrade, rank death +
-//! restart, straggler} are each crossed with both overlap modes.
+//! restart, straggler} are each crossed with both overlap modes. A
+//! single-GPU device loss checks the same contract for `SingleGpu::run`.
 
 use asuca_gpu::multi::{run_multi, MultiGpuConfig, MultiGpuReport, OverlapMode};
+use asuca_gpu::SingleGpu;
 use cluster::NetworkSpec;
 use dycore::config::{FaultConfig, ModelConfig, Terrain};
 use dycore::state::fnv1a;
 use dycore::{Grid, State};
-use vgpu::{DeviceSpec, ExecMode};
+use vgpu::{DeviceSpec, ExecMode, FaultSpec};
 
 const PX: usize = 2;
 const PY: usize = 2;
@@ -191,5 +193,49 @@ fn faulty_runs_cost_more_simulated_time_than_fault_free() {
     assert!(
         faulty > base,
         "fault recovery must cost simulated time: {faulty} <= {base}"
+    );
+}
+
+/// Single-GPU run of `steps` steps on one 16×12×8 domain, seeded like
+/// the decomposed runs; `lost_op` loses the device at that launch of
+/// the run. Returns the final state's checksum and the restart count.
+fn single_run(lost_op: Option<u64>, steps: usize) -> (u64, u64) {
+    let mut cfg = ModelConfig::mountain_wave(16, 12, NZ);
+    cfg.terrain = Terrain::Flat;
+    cfg.dt = 4.0;
+    cfg.fault = None;
+    cfg.checkpoint_every = 3;
+    cfg.guard_every = 0;
+    let mut gpu =
+        SingleGpu::<f64>::new(cfg.clone(), DeviceSpec::tesla_s1070(), ExecMode::Functional);
+    let mut s = State::zeros(&gpu.grid, cfg.n_tracers);
+    dycore::model::install_base_state(&gpu.grid, &gpu.base, &mut s);
+    seeded_init(&gpu.grid, &mut s, 0, 0);
+    gpu.load_state(&s).expect("upload");
+    if let Some(k) = lost_op {
+        gpu.dev.set_fault_plan(FaultSpec {
+            device_lost_op: Some(k),
+            ..FaultSpec::quiet(77, 0)
+        });
+    }
+    gpu.run(steps)
+        .expect("device loss must recover from the step-0 checkpoint");
+    let mut out = State::zeros(&gpu.grid, cfg.n_tracers);
+    gpu.save_state(&mut out);
+    (out.checksum(), gpu.restarts)
+}
+
+#[test]
+fn single_gpu_device_loss_before_first_checkpoint_recovers_bitwise() {
+    // Launch 40 falls inside step 1, before the first periodic
+    // checkpoint at step 3: only the setup's step-0 checkpoint can
+    // recover it.
+    let (gold, clean_restarts) = single_run(None, 4);
+    assert_eq!(clean_restarts, 0);
+    let (got, restarts) = single_run(Some(40), 4);
+    assert_eq!(restarts, 1, "device loss must force exactly one rollback");
+    assert_eq!(
+        got, gold,
+        "recovered state must be bitwise identical to fault-free"
     );
 }
