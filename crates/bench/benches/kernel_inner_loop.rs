@@ -6,10 +6,10 @@
 //! and taps at fixed ±1/±2 x-offsets, like the paper's
 //! register-marching loops walking coalesced x.
 //!
-//! A third variant runs the SIMD x-walk of PR 3 (lane loads at the same
-//! ±1/±2 offsets, remainder loop per row, inside the AVX2+FMA dispatch
-//! frame) — the inner loop now used by the Functional kernels when
-//! `ASUCA_SIMD` is on.
+//! A third variant runs the SIMD x-walk (lane loads at the same ±1/±2
+//! offsets, the same body at width 1 for each row's remainder, inside an
+//! AVX2+FMA `#[target_feature]` twin) — the inner loop used by the
+//! Functional kernels when `ASUCA_SIMD` is on.
 //!
 //! All variants run the same Koren-limited advection stencil on the
 //! same data single-threaded; identical results are asserted bitwise
@@ -17,8 +17,7 @@
 
 use asuca_gpu::view::{Dims, V3SlabMut, V3};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use numerics::limiter::{limited_flux, limited_flux_lanes, Limiter};
-use numerics::simd::{Lane, LANES};
+use numerics::limiter::{limited_flux, Limiter};
 
 const NX: usize = 320;
 const NY: usize = 256;
@@ -206,9 +205,10 @@ fn advect_rows(f: &Fields, out: &mut [f64]) {
     }
 }
 
-/// The SIMD x-walk, as now used by
-/// `asuca_gpu::kernels::advection::advect_scalar` with lanes on: lane
-/// loads at the same stencil offsets, scalar remainder loop per row.
+/// The SIMD x-walk, as used by
+/// `asuca_gpu::kernels::advection::advect_scalar` with lanes on: one
+/// body run at 4 lanes (loads at the same stencil offsets), then at
+/// width 1 for each row's remainder (`numerics::x_walk!`).
 /// Like the kernels (`numerics::simd_kernel!`), the loop body is
 /// stamped into an AVX2+FMA `#[target_feature]` twin when the CPU has
 /// the ISA — the results are bitwise identical either way.
@@ -229,18 +229,12 @@ fn advect_lanes_arch(f: &Fields, out: &mut [f64]) {
 
 #[inline(always)]
 fn advect_lanes_body(f: &Fields, out: &mut [f64]) {
-    type L = <f64 as numerics::Real>::Lane;
     let s = V3::new(&f.spec, f.dc);
     let uu = V3::new(&f.u, f.dc);
     let vv = V3::new(&f.v, f.dc);
     let ww = V3::new(&f.mw, f.dw);
     let mut o = V3SlabMut::new(out, f.dc, -(HALO as isize));
     let (nxi, nyi, nzi) = (NX as isize, NY as isize, NZ as isize);
-    let nl = LANES as isize;
-    let vdx = L::splat(INV_DX);
-    let vdy = L::splat(INV_DY);
-    let vdz = L::splat(INV_DZ);
-    let zl = L::splat(0.0);
     for j in 0..nyi {
         for k in 0..nzi {
             let s0 = s.row(j, k);
@@ -258,102 +252,60 @@ fn advect_lanes_body(f: &Fields, out: &mut [f64]) {
             let w0 = ww.row(j, k);
             let wp = ww.row(j, k + 1);
             let mut orow = o.row_mut(j, k);
-            let mut i = 0isize;
-            while i + nl <= nxi {
-                let sm1 = s0.lanes(i - 1);
-                let sc = s0.lanes(i);
-                let sp1 = s0.lanes(i + 1);
-                let fxm =
-                    limited_flux_lanes::<f64>(LIM, u0.lanes(i - 1), s0.lanes(i - 2), sm1, sc, sp1);
-                let fxp =
-                    limited_flux_lanes::<f64>(LIM, u0.lanes(i), sm1, sc, sp1, s0.lanes(i + 2));
-                let fym = limited_flux_lanes::<f64>(
+            numerics::x_walk!(f64, true, 0..nxi, |lw, i| {
+                let sm1 = s0.lanes(lw, i - 1);
+                let sc = s0.lanes(lw, i);
+                let sp1 = s0.lanes(lw, i + 1);
+                let fxm = limited_flux(LIM, u0.lanes(lw, i - 1), s0.lanes(lw, i - 2), sm1, sc, sp1);
+                let fxp = limited_flux(LIM, u0.lanes(lw, i), sm1, sc, sp1, s0.lanes(lw, i + 2));
+                let fym = limited_flux(
                     LIM,
-                    vjm1.lanes(i),
-                    sjm2.lanes(i),
-                    sjm1.lanes(i),
+                    vjm1.lanes(lw, i),
+                    sjm2.lanes(lw, i),
+                    sjm1.lanes(lw, i),
                     sc,
-                    sjp1.lanes(i),
+                    sjp1.lanes(lw, i),
                 );
-                let fyp = limited_flux_lanes::<f64>(
+                let fyp = limited_flux(
                     LIM,
-                    v0.lanes(i),
-                    sjm1.lanes(i),
+                    v0.lanes(lw, i),
+                    sjm1.lanes(lw, i),
                     sc,
-                    sjp1.lanes(i),
-                    sjp2.lanes(i),
+                    sjp1.lanes(lw, i),
+                    sjp2.lanes(lw, i),
                 );
                 let fzm = if k == 0 {
-                    zl
+                    lw.splat(0.0)
                 } else {
-                    limited_flux_lanes::<f64>(
+                    limited_flux(
                         LIM,
-                        w0.lanes(i),
-                        skm2.lanes(i),
-                        skm1.lanes(i),
+                        w0.lanes(lw, i),
+                        skm2.lanes(lw, i),
+                        skm1.lanes(lw, i),
                         sc,
-                        skp1.lanes(i),
+                        skp1.lanes(lw, i),
                     )
                 };
                 let fzp = if k == nzi - 1 {
-                    zl
+                    lw.splat(0.0)
                 } else {
-                    limited_flux_lanes::<f64>(
+                    limited_flux(
                         LIM,
-                        wp.lanes(i),
-                        skm1.lanes(i),
+                        wp.lanes(lw, i),
+                        skm1.lanes(lw, i),
                         sc,
-                        skp1.lanes(i),
-                        skp2.lanes(i),
+                        skp1.lanes(lw, i),
+                        skp2.lanes(lw, i),
                     )
                 };
                 orow.add_lanes(
+                    lw,
                     i,
-                    -((fxp - fxm) * vdx + (fyp - fym) * vdy + (fzp - fzm) * vdz),
+                    -((fxp - fxm) * lw.splat(INV_DX)
+                        + (fyp - fym) * lw.splat(INV_DY)
+                        + (fzp - fzm) * lw.splat(INV_DZ)),
                 );
-                i += nl;
-            }
-            for i in i..nxi {
-                let fxm = limited_flux(
-                    LIM,
-                    u0.at(i - 1),
-                    s0.at(i - 2),
-                    s0.at(i - 1),
-                    s0.at(i),
-                    s0.at(i + 1),
-                );
-                let fxp = limited_flux(
-                    LIM,
-                    u0.at(i),
-                    s0.at(i - 1),
-                    s0.at(i),
-                    s0.at(i + 1),
-                    s0.at(i + 2),
-                );
-                let fym = limited_flux(
-                    LIM,
-                    vjm1.at(i),
-                    sjm2.at(i),
-                    sjm1.at(i),
-                    s0.at(i),
-                    sjp1.at(i),
-                );
-                let fyp = limited_flux(LIM, v0.at(i), sjm1.at(i), s0.at(i), sjp1.at(i), sjp2.at(i));
-                let fzm = if k == 0 {
-                    0.0
-                } else {
-                    limited_flux(LIM, w0.at(i), skm2.at(i), skm1.at(i), s0.at(i), skp1.at(i))
-                };
-                let fzp = if k == nzi - 1 {
-                    0.0
-                } else {
-                    limited_flux(LIM, wp.at(i), skm1.at(i), s0.at(i), skp1.at(i), skp2.at(i))
-                };
-                orow.add(
-                    i,
-                    -((fxp - fxm) * INV_DX + (fyp - fym) * INV_DY + (fzp - fzm) * INV_DZ),
-                );
-            }
+            });
         }
     }
 }

@@ -92,7 +92,7 @@ pub struct LinkFaultSpec {
     pub max_drops: u32,
     /// Per-message probability of an extra in-flight delay.
     pub delay_rate: f64,
-    /// The extra delay [s] when injected.
+    /// The extra delay \[s\] when injected.
     pub delay_s: f64,
 }
 
@@ -195,7 +195,7 @@ impl<T: Send + 'static> Comm<T> {
         self.recv_wall_timeout = d;
     }
 
-    /// Virtual retry protocol knobs: first timeout window [s], backoff
+    /// Virtual retry protocol knobs: first timeout window \[s\], backoff
     /// multiplier per round, and the bounded retry budget.
     pub fn set_retry(&mut self, timeout_s: f64, backoff: f64, max_retries: u32) {
         assert!(timeout_s > 0.0 && backoff >= 1.0);

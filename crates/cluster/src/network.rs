@@ -11,9 +11,9 @@
 pub struct NetworkSpec {
     /// Effective point-to-point MPI bandwidth [bytes/s].
     pub bandwidth_bytes_s: f64,
-    /// Per-message latency [s].
+    /// Per-message latency \[s\].
     pub latency_s: f64,
-    /// Host-side CPU cost of posting a send or receive [s].
+    /// Host-side CPU cost of posting a send or receive \[s\].
     pub sw_overhead_s: f64,
 }
 

@@ -27,7 +27,7 @@ use vgpu::{Device, ExecMode, StreamId};
 pub struct Checkpoint<R: Real> {
     /// Long-step index at which the snapshot was taken.
     pub step: u64,
-    /// Model time [s] at the snapshot.
+    /// Model time \[s\] at the snapshot.
     pub sim_time: f64,
     /// Raw padded boxes in capture order (`rho, u, v, w, th, p, q...,
     /// precip`); empty in phantom mode.

@@ -29,7 +29,7 @@ pub struct DeviceGeom<R: Real> {
     pub g_v: Buf<R>,
     pub dzsdx_u: Buf<R>,
     pub dzsdy_v: Buf<R>,
-    /// (1 - ζc[k]/H) factors for the metric slope, one per level,
+    /// (1 - ζc\[k\]/H) factors for the metric slope, one per level,
     /// uploaded as a small device array.
     pub zeta_fac: Buf<R>,
     // Base-state fields.

@@ -8,21 +8,13 @@
 //! is charged roughly once per point rather than once per stencil tap.
 
 use crate::geom::DeviceGeom;
-use crate::kernels::region::{launch_cfg_region, reads_stencil, writes_rects, KName, Region};
+use crate::kernels::region::{
+    launch_cfg_region, reads_stencil, widest, writes_rects, KName, Region,
+};
+use crate::kernels::walk_lanes;
 use crate::view::{V3SlabMut, V3};
-use numerics::limiter::{limited_flux, limited_flux_lanes, Limiter};
-use numerics::simd::{Lane, LANES};
+use numerics::limiter::{limited_flux, Limiter};
 use vgpu::{Buf, Device, KernelCost, Launch, StreamId, VgpuError};
-
-/// Lane width recorded on a launch: `LANES` on the SIMD x-walk, 1 on the
-/// scalar walk (informational — never priced by the cost model).
-pub(crate) fn lane_width(lanes_on: bool) -> u32 {
-    if lanes_on {
-        LANES as u32
-    } else {
-        1
-    }
-}
 
 /// Shared-memory tile of the advection kernels: (64+3)*(4+3) elements
 /// (Fig. 3), in the element size of the precision in use.
@@ -86,7 +78,7 @@ pub fn advect_scalar<R: Real>(
         stream,
         Launch::new(kn.get(region), gdim, bdim, cost)
             .with_shared_mem(smem)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
             .reading(reads_stencil(&dc, &rects, &[spec, u, v]))
             .reading(reads_stencil(&dw, &rects, &[mw]))
             .writing(writes_rects(&dc, &rects, &[out])),
@@ -125,151 +117,80 @@ pub fn advect_scalar<R: Real>(
                         let w0 = ww.row(j, k);
                         let wp = ww.row(j, k + 1);
                         let mut orow = o.row_mut(j, k);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            // SIMD x-walk: 4 faces per iteration, each
-                            // stencil tap one shifted unaligned lane
-                            // load; per-point op order is the scalar
-                            // body's, so bits match the remainder loop.
-                            let nl = LANES as isize;
-                            let vdx = R::Lane::splat(inv_dx);
-                            let vdy = R::Lane::splat(inv_dy);
-                            let vdz = R::Lane::splat(inv_dz);
-                            let zl = R::Lane::splat(R::ZERO);
-                            while i + nl <= i1 {
-                                let sm1 = s0.lanes(i - 1);
-                                let sc = s0.lanes(i);
-                                let sp1 = s0.lanes(i + 1);
-                                let fxm = limited_flux_lanes::<R>(
-                                    lim,
-                                    u0.lanes(i - 1),
-                                    s0.lanes(i - 2),
-                                    sm1,
-                                    sc,
-                                    sp1,
-                                );
-                                let fxp = limited_flux_lanes::<R>(
-                                    lim,
-                                    u0.lanes(i),
-                                    sm1,
-                                    sc,
-                                    sp1,
-                                    s0.lanes(i + 2),
-                                );
-                                let fym = limited_flux_lanes::<R>(
-                                    lim,
-                                    vjm1.lanes(i),
-                                    sjm2.lanes(i),
-                                    sjm1.lanes(i),
-                                    sc,
-                                    sjp1.lanes(i),
-                                );
-                                let fyp = limited_flux_lanes::<R>(
-                                    lim,
-                                    v0.lanes(i),
-                                    sjm1.lanes(i),
-                                    sc,
-                                    sjp1.lanes(i),
-                                    sjp2.lanes(i),
-                                );
-                                let fzm = if k == 0 {
-                                    zl
-                                } else {
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        w0.lanes(i),
-                                        skm2.lanes(i),
-                                        skm1.lanes(i),
-                                        sc,
-                                        skp1.lanes(i),
-                                    )
-                                };
-                                let fzp = if k == nzi - 1 {
-                                    zl
-                                } else {
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        wp.lanes(i),
-                                        skm1.lanes(i),
-                                        sc,
-                                        skp1.lanes(i),
-                                        skp2.lanes(i),
-                                    )
-                                };
-                                orow.add_lanes(
-                                    i,
-                                    -((fxp - fxm) * vdx + (fyp - fym) * vdy + (fzp - fzm) * vdz),
-                                );
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            // x faces at i-1/2 (vel u[i-1]) and i+1/2 (u[i]).
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            // One body at both widths: 4 faces per
+                            // iteration on the lane pass, each stencil
+                            // tap one shifted unaligned load; 1 face on
+                            // the remainder pass, same op order.
+                            let vdx = lw.splat(inv_dx);
+                            let vdy = lw.splat(inv_dy);
+                            let vdz = lw.splat(inv_dz);
+                            let zl = lw.splat(R::ZERO);
+                            let sm1 = s0.lanes(lw, i - 1);
+                            let sc = s0.lanes(lw, i);
+                            let sp1 = s0.lanes(lw, i + 1);
                             let fxm = limited_flux(
                                 lim,
-                                u0.at(i - 1),
-                                s0.at(i - 2),
-                                s0.at(i - 1),
-                                s0.at(i),
-                                s0.at(i + 1),
+                                u0.lanes(lw, i - 1),
+                                s0.lanes(lw, i - 2),
+                                sm1,
+                                sc,
+                                sp1,
                             );
                             let fxp = limited_flux(
                                 lim,
-                                u0.at(i),
-                                s0.at(i - 1),
-                                s0.at(i),
-                                s0.at(i + 1),
-                                s0.at(i + 2),
+                                u0.lanes(lw, i),
+                                sm1,
+                                sc,
+                                sp1,
+                                s0.lanes(lw, i + 2),
                             );
                             let fym = limited_flux(
                                 lim,
-                                vjm1.at(i),
-                                sjm2.at(i),
-                                sjm1.at(i),
-                                s0.at(i),
-                                sjp1.at(i),
+                                vjm1.lanes(lw, i),
+                                sjm2.lanes(lw, i),
+                                sjm1.lanes(lw, i),
+                                sc,
+                                sjp1.lanes(lw, i),
                             );
                             let fyp = limited_flux(
                                 lim,
-                                v0.at(i),
-                                sjm1.at(i),
-                                s0.at(i),
-                                sjp1.at(i),
-                                sjp2.at(i),
+                                v0.lanes(lw, i),
+                                sjm1.lanes(lw, i),
+                                sc,
+                                sjp1.lanes(lw, i),
+                                sjp2.lanes(lw, i),
                             );
-                            // z faces: boundary mass flux is zero by the
-                            // kinematic conditions baked into mw.
                             let fzm = if k == 0 {
-                                R::ZERO
+                                zl
                             } else {
                                 limited_flux(
                                     lim,
-                                    w0.at(i),
-                                    skm2.at(i),
-                                    skm1.at(i),
-                                    s0.at(i),
-                                    skp1.at(i),
+                                    w0.lanes(lw, i),
+                                    skm2.lanes(lw, i),
+                                    skm1.lanes(lw, i),
+                                    sc,
+                                    skp1.lanes(lw, i),
                                 )
                             };
                             let fzp = if k == nzi - 1 {
-                                R::ZERO
+                                zl
                             } else {
                                 limited_flux(
                                     lim,
-                                    wp.at(i),
-                                    skm1.at(i),
-                                    s0.at(i),
-                                    skp1.at(i),
-                                    skp2.at(i),
+                                    wp.lanes(lw, i),
+                                    skm1.lanes(lw, i),
+                                    sc,
+                                    skp1.lanes(lw, i),
+                                    skp2.lanes(lw, i),
                                 )
                             };
-                            orow.add(
+                            orow.add_lanes(
+                                lw,
                                 i,
-                                -((fxp - fxm) * inv_dx
-                                    + (fyp - fym) * inv_dy
-                                    + (fzp - fzm) * inv_dz),
+                                -((fxp - fxm) * vdx + (fyp - fym) * vdy + (fzp - fzm) * vdz),
                             );
-                        }
+                        });
                     }
                 }
             }
@@ -313,7 +234,7 @@ pub fn advect_u<R: Real>(
         stream,
         Launch::new(kn.get(region), gdim, bdim, cost)
             .with_shared_mem(advection_shared_mem_bytes(R::BYTES))
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
             .reading(reads_stencil(&dc, &rects, &[uspec, u, v]))
             .reading(reads_stencil(&dw, &rects, &[mw]))
             .writing(writes_rects(&dc, &rects, &[out])),
@@ -348,134 +269,80 @@ pub fn advect_u<R: Real>(
                         let w0 = ww.row(j, k);
                         let wp = ww.row(j, k + 1);
                         let mut orow = o.row_mut(j, k);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vdx = R::Lane::splat(inv_dx);
-                            let vdy = R::Lane::splat(inv_dy);
-                            let vdz = R::Lane::splat(inv_dz);
-                            let vh = R::Lane::splat(half);
-                            let zl = R::Lane::splat(R::ZERO);
-                            while i + nl <= i1 {
-                                let um1 = u0.lanes(i - 1);
-                                let uc = u0.lanes(i);
-                                let up1 = u0.lanes(i + 1);
-                                let sm1 = s0.lanes(i - 1);
-                                let sc = s0.lanes(i);
-                                let sp1 = s0.lanes(i + 1);
-                                let fxm = {
-                                    let vel = vh * (um1 + uc);
-                                    limited_flux_lanes::<R>(lim, vel, s0.lanes(i - 2), sm1, sc, sp1)
-                                };
-                                let fxp = {
-                                    let vel = vh * (uc + up1);
-                                    limited_flux_lanes::<R>(lim, vel, sm1, sc, sp1, s0.lanes(i + 2))
-                                };
-                                let fym = {
-                                    let vel = vh * (vjm1.lanes(i) + vjm1.lanes(i + 1));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        sjm2.lanes(i),
-                                        sjm1.lanes(i),
-                                        sc,
-                                        sjp1.lanes(i),
-                                    )
-                                };
-                                let fyp = {
-                                    let vel = vh * (v0.lanes(i) + v0.lanes(i + 1));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        sjm1.lanes(i),
-                                        sc,
-                                        sjp1.lanes(i),
-                                        sjp2.lanes(i),
-                                    )
-                                };
-                                let fzm = if k == 0 {
-                                    zl
-                                } else {
-                                    let vel = vh * (w0.lanes(i) + w0.lanes(i + 1));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        skm2.lanes(i),
-                                        skm1.lanes(i),
-                                        sc,
-                                        skp1.lanes(i),
-                                    )
-                                };
-                                let fzp = if k == nzi - 1 {
-                                    zl
-                                } else {
-                                    let vel = vh * (wp.lanes(i) + wp.lanes(i + 1));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        skm1.lanes(i),
-                                        sc,
-                                        skp1.lanes(i),
-                                        skp2.lanes(i),
-                                    )
-                                };
-                                orow.add_lanes(
-                                    i,
-                                    -((fxp - fxm) * vdx + (fyp - fym) * vdy + (fzp - fzm) * vdz),
-                                );
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let vdx = lw.splat(inv_dx);
+                            let vdy = lw.splat(inv_dy);
+                            let vdz = lw.splat(inv_dz);
+                            let vh = lw.splat(half);
+                            let zl = lw.splat(R::ZERO);
+                            let um1 = u0.lanes(lw, i - 1);
+                            let uc = u0.lanes(lw, i);
+                            let up1 = u0.lanes(lw, i + 1);
+                            let sm1 = s0.lanes(lw, i - 1);
+                            let sc = s0.lanes(lw, i);
+                            let sp1 = s0.lanes(lw, i + 1);
                             let fxm = {
-                                let vel = half * (u0.at(i - 1) + u0.at(i));
-                                limited_flux(
-                                    lim,
-                                    vel,
-                                    s0.at(i - 2),
-                                    s0.at(i - 1),
-                                    s0.at(i),
-                                    s0.at(i + 1),
-                                )
+                                let vel = vh * (um1 + uc);
+                                limited_flux(lim, vel, s0.lanes(lw, i - 2), sm1, sc, sp1)
                             };
                             let fxp = {
-                                let vel = half * (u0.at(i) + u0.at(i + 1));
+                                let vel = vh * (uc + up1);
+                                limited_flux(lim, vel, sm1, sc, sp1, s0.lanes(lw, i + 2))
+                            };
+                            let fym = {
+                                let vel = vh * (vjm1.lanes(lw, i) + vjm1.lanes(lw, i + 1));
                                 limited_flux(
                                     lim,
                                     vel,
-                                    s0.at(i - 1),
-                                    s0.at(i),
-                                    s0.at(i + 1),
-                                    s0.at(i + 2),
+                                    sjm2.lanes(lw, i),
+                                    sjm1.lanes(lw, i),
+                                    sc,
+                                    sjp1.lanes(lw, i),
                                 )
                             };
-                            let fym = {
-                                let vel = half * (vjm1.at(i) + vjm1.at(i + 1));
-                                limited_flux(lim, vel, sjm2.at(i), sjm1.at(i), s0.at(i), sjp1.at(i))
-                            };
                             let fyp = {
-                                let vel = half * (v0.at(i) + v0.at(i + 1));
-                                limited_flux(lim, vel, sjm1.at(i), s0.at(i), sjp1.at(i), sjp2.at(i))
+                                let vel = vh * (v0.lanes(lw, i) + v0.lanes(lw, i + 1));
+                                limited_flux(
+                                    lim,
+                                    vel,
+                                    sjm1.lanes(lw, i),
+                                    sc,
+                                    sjp1.lanes(lw, i),
+                                    sjp2.lanes(lw, i),
+                                )
                             };
                             let fzm = if k == 0 {
-                                R::ZERO
+                                zl
                             } else {
-                                let vel = half * (w0.at(i) + w0.at(i + 1));
-                                limited_flux(lim, vel, skm2.at(i), skm1.at(i), s0.at(i), skp1.at(i))
+                                let vel = vh * (w0.lanes(lw, i) + w0.lanes(lw, i + 1));
+                                limited_flux(
+                                    lim,
+                                    vel,
+                                    skm2.lanes(lw, i),
+                                    skm1.lanes(lw, i),
+                                    sc,
+                                    skp1.lanes(lw, i),
+                                )
                             };
                             let fzp = if k == nzi - 1 {
-                                R::ZERO
+                                zl
                             } else {
-                                let vel = half * (wp.at(i) + wp.at(i + 1));
-                                limited_flux(lim, vel, skm1.at(i), s0.at(i), skp1.at(i), skp2.at(i))
+                                let vel = vh * (wp.lanes(lw, i) + wp.lanes(lw, i + 1));
+                                limited_flux(
+                                    lim,
+                                    vel,
+                                    skm1.lanes(lw, i),
+                                    sc,
+                                    skp1.lanes(lw, i),
+                                    skp2.lanes(lw, i),
+                                )
                             };
-                            orow.add(
+                            orow.add_lanes(
+                                lw,
                                 i,
-                                -((fxp - fxm) * inv_dx
-                                    + (fyp - fym) * inv_dy
-                                    + (fzp - fzm) * inv_dz),
+                                -((fxp - fxm) * vdx + (fyp - fym) * vdy + (fzp - fzm) * vdz),
                             );
-                        }
+                        });
                     }
                 }
             }
@@ -519,7 +386,7 @@ pub fn advect_v<R: Real>(
         stream,
         Launch::new(kn.get(region), gdim, bdim, cost)
             .with_shared_mem(advection_shared_mem_bytes(R::BYTES))
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
             .reading(reads_stencil(&dc, &rects, &[vspec, u, v]))
             .reading(reads_stencil(&dw, &rects, &[mw]))
             .writing(writes_rects(&dc, &rects, &[out])),
@@ -558,131 +425,77 @@ pub fn advect_v<R: Real>(
                         let wp0 = ww.row(j, k + 1);
                         let wpjp1 = ww.row(j + 1, k + 1);
                         let mut orow = o.row_mut(j, k);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vdx = R::Lane::splat(inv_dx);
-                            let vdy = R::Lane::splat(inv_dy);
-                            let vdz = R::Lane::splat(inv_dz);
-                            let vh = R::Lane::splat(half);
-                            let zl = R::Lane::splat(R::ZERO);
-                            while i + nl <= i1 {
-                                let sm1 = s0.lanes(i - 1);
-                                let sc = s0.lanes(i);
-                                let sp1 = s0.lanes(i + 1);
-                                let fxm = {
-                                    let vel = vh * (u0.lanes(i - 1) + ujp1.lanes(i - 1));
-                                    limited_flux_lanes::<R>(lim, vel, s0.lanes(i - 2), sm1, sc, sp1)
-                                };
-                                let fxp = {
-                                    let vel = vh * (u0.lanes(i) + ujp1.lanes(i));
-                                    limited_flux_lanes::<R>(lim, vel, sm1, sc, sp1, s0.lanes(i + 2))
-                                };
-                                let fym = {
-                                    let vel = vh * (vjm1.lanes(i) + v0.lanes(i));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        sjm2.lanes(i),
-                                        sjm1.lanes(i),
-                                        sc,
-                                        sjp1.lanes(i),
-                                    )
-                                };
-                                let fyp = {
-                                    let vel = vh * (v0.lanes(i) + vjp1.lanes(i));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        sjm1.lanes(i),
-                                        sc,
-                                        sjp1.lanes(i),
-                                        sjp2.lanes(i),
-                                    )
-                                };
-                                let fzm = if k == 0 {
-                                    zl
-                                } else {
-                                    let vel = vh * (w0.lanes(i) + wjp1.lanes(i));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        skm2.lanes(i),
-                                        skm1.lanes(i),
-                                        sc,
-                                        skp1.lanes(i),
-                                    )
-                                };
-                                let fzp = if k == nzi - 1 {
-                                    zl
-                                } else {
-                                    let vel = vh * (wp0.lanes(i) + wpjp1.lanes(i));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        skm1.lanes(i),
-                                        sc,
-                                        skp1.lanes(i),
-                                        skp2.lanes(i),
-                                    )
-                                };
-                                orow.add_lanes(
-                                    i,
-                                    -((fxp - fxm) * vdx + (fyp - fym) * vdy + (fzp - fzm) * vdz),
-                                );
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let vdx = lw.splat(inv_dx);
+                            let vdy = lw.splat(inv_dy);
+                            let vdz = lw.splat(inv_dz);
+                            let vh = lw.splat(half);
+                            let zl = lw.splat(R::ZERO);
+                            let sm1 = s0.lanes(lw, i - 1);
+                            let sc = s0.lanes(lw, i);
+                            let sp1 = s0.lanes(lw, i + 1);
                             let fxm = {
-                                let vel = half * (u0.at(i - 1) + ujp1.at(i - 1));
-                                limited_flux(
-                                    lim,
-                                    vel,
-                                    s0.at(i - 2),
-                                    s0.at(i - 1),
-                                    s0.at(i),
-                                    s0.at(i + 1),
-                                )
+                                let vel = vh * (u0.lanes(lw, i - 1) + ujp1.lanes(lw, i - 1));
+                                limited_flux(lim, vel, s0.lanes(lw, i - 2), sm1, sc, sp1)
                             };
                             let fxp = {
-                                let vel = half * (u0.at(i) + ujp1.at(i));
+                                let vel = vh * (u0.lanes(lw, i) + ujp1.lanes(lw, i));
+                                limited_flux(lim, vel, sm1, sc, sp1, s0.lanes(lw, i + 2))
+                            };
+                            let fym = {
+                                let vel = vh * (vjm1.lanes(lw, i) + v0.lanes(lw, i));
                                 limited_flux(
                                     lim,
                                     vel,
-                                    s0.at(i - 1),
-                                    s0.at(i),
-                                    s0.at(i + 1),
-                                    s0.at(i + 2),
+                                    sjm2.lanes(lw, i),
+                                    sjm1.lanes(lw, i),
+                                    sc,
+                                    sjp1.lanes(lw, i),
                                 )
                             };
-                            let fym = {
-                                let vel = half * (vjm1.at(i) + v0.at(i));
-                                limited_flux(lim, vel, sjm2.at(i), sjm1.at(i), s0.at(i), sjp1.at(i))
-                            };
                             let fyp = {
-                                let vel = half * (v0.at(i) + vjp1.at(i));
-                                limited_flux(lim, vel, sjm1.at(i), s0.at(i), sjp1.at(i), sjp2.at(i))
+                                let vel = vh * (v0.lanes(lw, i) + vjp1.lanes(lw, i));
+                                limited_flux(
+                                    lim,
+                                    vel,
+                                    sjm1.lanes(lw, i),
+                                    sc,
+                                    sjp1.lanes(lw, i),
+                                    sjp2.lanes(lw, i),
+                                )
                             };
                             let fzm = if k == 0 {
-                                R::ZERO
+                                zl
                             } else {
-                                let vel = half * (w0.at(i) + wjp1.at(i));
-                                limited_flux(lim, vel, skm2.at(i), skm1.at(i), s0.at(i), skp1.at(i))
+                                let vel = vh * (w0.lanes(lw, i) + wjp1.lanes(lw, i));
+                                limited_flux(
+                                    lim,
+                                    vel,
+                                    skm2.lanes(lw, i),
+                                    skm1.lanes(lw, i),
+                                    sc,
+                                    skp1.lanes(lw, i),
+                                )
                             };
                             let fzp = if k == nzi - 1 {
-                                R::ZERO
+                                zl
                             } else {
-                                let vel = half * (wp0.at(i) + wpjp1.at(i));
-                                limited_flux(lim, vel, skm1.at(i), s0.at(i), skp1.at(i), skp2.at(i))
+                                let vel = vh * (wp0.lanes(lw, i) + wpjp1.lanes(lw, i));
+                                limited_flux(
+                                    lim,
+                                    vel,
+                                    skm1.lanes(lw, i),
+                                    sc,
+                                    skp1.lanes(lw, i),
+                                    skp2.lanes(lw, i),
+                                )
                             };
-                            orow.add(
+                            orow.add_lanes(
+                                lw,
                                 i,
-                                -((fxp - fxm) * inv_dx
-                                    + (fyp - fym) * inv_dy
-                                    + (fzp - fzm) * inv_dz),
+                                -((fxp - fxm) * vdx + (fyp - fym) * vdy + (fzp - fzm) * vdz),
                             );
-                        }
+                        });
                     }
                 }
             }
@@ -726,7 +539,7 @@ pub fn advect_w<R: Real>(
         stream,
         Launch::new(kn.get(region), gdim, bdim, cost)
             .with_shared_mem(advection_shared_mem_bytes(R::BYTES))
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
             .reading(reads_stencil(&dc, &rects, &[u, v]))
             .reading(reads_stencil(&dw, &rects, &[wspec, mw]))
             .writing(writes_rects(&dw, &rects, &[out])),
@@ -765,126 +578,125 @@ pub fn advect_w<R: Real>(
                         let wk = ww.row(j, k);
                         let wkp1 = ww.row(j, k + 1);
                         let mut orow = o.row_mut(j, k);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vdx = R::Lane::splat(inv_dx);
-                            let vdy = R::Lane::splat(inv_dy);
-                            let vdz = R::Lane::splat(inv_dz);
-                            let vh = R::Lane::splat(half);
-                            while i + nl <= i1 {
-                                let sm1 = s0.lanes(i - 1);
-                                let sc = s0.lanes(i);
-                                let sp1 = s0.lanes(i + 1);
-                                let fxm = {
-                                    let vel = vh * (ukm1.lanes(i - 1) + uk.lanes(i - 1));
-                                    limited_flux_lanes::<R>(lim, vel, s0.lanes(i - 2), sm1, sc, sp1)
-                                };
-                                let fxp = {
-                                    let vel = vh * (ukm1.lanes(i) + uk.lanes(i));
-                                    limited_flux_lanes::<R>(lim, vel, sm1, sc, sp1, s0.lanes(i + 2))
-                                };
-                                let fym = {
-                                    let vel = vh * (vjm1km1.lanes(i) + vjm1k.lanes(i));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        sjm2.lanes(i),
-                                        sjm1.lanes(i),
-                                        sc,
-                                        sjp1.lanes(i),
-                                    )
-                                };
-                                let fyp = {
-                                    let vel = vh * (v0km1.lanes(i) + v0k.lanes(i));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        sjm1.lanes(i),
-                                        sc,
-                                        sjp1.lanes(i),
-                                        sjp2.lanes(i),
-                                    )
-                                };
-                                let fzm = {
-                                    let vel = vh * (wkm1.lanes(i) + wk.lanes(i));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        skm2.lanes(i),
-                                        skm1.lanes(i),
-                                        sc,
-                                        skp1.lanes(i),
-                                    )
-                                };
-                                let fzp = {
-                                    let vel = vh * (wk.lanes(i) + wkp1.lanes(i));
-                                    limited_flux_lanes::<R>(
-                                        lim,
-                                        vel,
-                                        skm1.lanes(i),
-                                        sc,
-                                        skp1.lanes(i),
-                                        skp2.lanes(i),
-                                    )
-                                };
-                                orow.add_lanes(
-                                    i,
-                                    -((fxp - fxm) * vdx + (fyp - fym) * vdy + (fzp - fzm) * vdz),
-                                );
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let vdx = lw.splat(inv_dx);
+                            let vdy = lw.splat(inv_dy);
+                            let vdz = lw.splat(inv_dz);
+                            let vh = lw.splat(half);
+                            let sm1 = s0.lanes(lw, i - 1);
+                            let sc = s0.lanes(lw, i);
+                            let sp1 = s0.lanes(lw, i + 1);
                             let fxm = {
-                                let vel = half * (ukm1.at(i - 1) + uk.at(i - 1));
-                                limited_flux(
-                                    lim,
-                                    vel,
-                                    s0.at(i - 2),
-                                    s0.at(i - 1),
-                                    s0.at(i),
-                                    s0.at(i + 1),
-                                )
+                                let vel = vh * (ukm1.lanes(lw, i - 1) + uk.lanes(lw, i - 1));
+                                limited_flux(lim, vel, s0.lanes(lw, i - 2), sm1, sc, sp1)
                             };
                             let fxp = {
-                                let vel = half * (ukm1.at(i) + uk.at(i));
+                                let vel = vh * (ukm1.lanes(lw, i) + uk.lanes(lw, i));
+                                limited_flux(lim, vel, sm1, sc, sp1, s0.lanes(lw, i + 2))
+                            };
+                            let fym = {
+                                let vel = vh * (vjm1km1.lanes(lw, i) + vjm1k.lanes(lw, i));
                                 limited_flux(
                                     lim,
                                     vel,
-                                    s0.at(i - 1),
-                                    s0.at(i),
-                                    s0.at(i + 1),
-                                    s0.at(i + 2),
+                                    sjm2.lanes(lw, i),
+                                    sjm1.lanes(lw, i),
+                                    sc,
+                                    sjp1.lanes(lw, i),
                                 )
                             };
-                            let fym = {
-                                let vel = half * (vjm1km1.at(i) + vjm1k.at(i));
-                                limited_flux(lim, vel, sjm2.at(i), sjm1.at(i), s0.at(i), sjp1.at(i))
-                            };
                             let fyp = {
-                                let vel = half * (v0km1.at(i) + v0k.at(i));
-                                limited_flux(lim, vel, sjm1.at(i), s0.at(i), sjp1.at(i), sjp2.at(i))
+                                let vel = vh * (v0km1.lanes(lw, i) + v0k.lanes(lw, i));
+                                limited_flux(
+                                    lim,
+                                    vel,
+                                    sjm1.lanes(lw, i),
+                                    sc,
+                                    sjp1.lanes(lw, i),
+                                    sjp2.lanes(lw, i),
+                                )
                             };
                             let fzm = {
-                                let vel = half * (wkm1.at(i) + wk.at(i));
-                                limited_flux(lim, vel, skm2.at(i), skm1.at(i), s0.at(i), skp1.at(i))
+                                let vel = vh * (wkm1.lanes(lw, i) + wk.lanes(lw, i));
+                                limited_flux(
+                                    lim,
+                                    vel,
+                                    skm2.lanes(lw, i),
+                                    skm1.lanes(lw, i),
+                                    sc,
+                                    skp1.lanes(lw, i),
+                                )
                             };
                             let fzp = {
-                                let vel = half * (wk.at(i) + wkp1.at(i));
-                                limited_flux(lim, vel, skm1.at(i), s0.at(i), skp1.at(i), skp2.at(i))
+                                let vel = vh * (wk.lanes(lw, i) + wkp1.lanes(lw, i));
+                                limited_flux(
+                                    lim,
+                                    vel,
+                                    skm1.lanes(lw, i),
+                                    sc,
+                                    skp1.lanes(lw, i),
+                                    skp2.lanes(lw, i),
+                                )
                             };
-                            orow.add(
+                            orow.add_lanes(
+                                lw,
                                 i,
-                                -((fxp - fxm) * inv_dx
-                                    + (fyp - fym) * inv_dy
-                                    + (fzp - fzm) * inv_dz),
+                                -((fxp - fxm) * vdx + (fyp - fym) * vdy + (fzp - fzm) * vdz),
                             );
-                        }
+                        });
                     }
                 }
             }
         },
     )
 }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fields::DeviceState;
+    use crate::kname;
+    use dycore::config::{ModelConfig, Terrain};
+    use dycore::grid::{BaseFields, Grid};
+    use numerics::simd::LANES;
+    use physics::base::BaseState;
+    use vgpu::{DeviceSpec, ExecMode};
+
+    /// A launch records the lane width its x-walk really runs at: the
+    /// `halo`-wide `XBound` strips are narrower than a lane, so they run
+    /// (and record) width 1 even with lanes on.
+    #[test]
+    fn launch_records_the_lane_width_the_walk_runs_at() {
+        let mut cfg = ModelConfig::mountain_wave(16, 12, 6);
+        cfg.terrain = Terrain::Flat;
+        let grid = Grid::build(&cfg);
+        let base = BaseFields::build(&grid, &BaseState::isothermal(280.0));
+        let mut spec = DeviceSpec::tesla_s1070();
+        spec.host_simd = true;
+        let mut dev = Device::<f64>::new(spec, ExecMode::Functional);
+        let geom = DeviceGeom::build(&mut dev, &grid, &base);
+        let ds = DeviceState::alloc(&mut dev, &geom, 3).unwrap();
+        let kn = kname!("adv_probe");
+        for (region, lanes) in [(Region::XBound, 1), (Region::Inner, LANES as u32)] {
+            advect_scalar(
+                &mut dev,
+                StreamId::DEFAULT,
+                &geom,
+                region,
+                &kn,
+                Limiter::Koren,
+                true,
+                ds.spec,
+                ds.u,
+                ds.v,
+                ds.mw,
+                ds.fth,
+            )
+            .unwrap();
+            let rec = dev.profiler.records().last().unwrap();
+            assert_eq!(rec.name, kn.get(region));
+            assert_eq!(rec.lanes, lanes, "{region:?}");
+        }
+    }
 }

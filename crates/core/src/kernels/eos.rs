@@ -1,10 +1,10 @@
 //! Equation-of-state kernels (Fig. 1 "Update pressure (EOS)").
 
 use crate::geom::DeviceGeom;
-use crate::kernels::advection::lane_width;
 use crate::kernels::region::{launch_cfg, reads_all, writes_all};
+use crate::kernels::walk_lanes;
 use crate::view::{V3SlabMut, V3};
-use numerics::simd::{Lane, LANES};
+use numerics::simd::Lane;
 use physics::eos;
 use vgpu::{Buf, Device, KernelCost, Launch, StreamId, VgpuError};
 
@@ -31,7 +31,7 @@ pub fn eos_linear<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("eos_linear", g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, dc.px() as isize))
             .reading(reads_all(&[th, th_ref, p_ref, c2m_b]))
             .writing(writes_all(&[p])),
         dc.py(),
@@ -55,20 +55,11 @@ pub fn eos_linear<R: Real>(
                     let pr_row = prv.row(j, k);
                     let c_row = cv.row(j, kk);
                     let mut p_row = pv.row_mut(j, k);
-                    let (mut i, i1) = (-h, dc.nx as isize + h);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        while i + nl <= i1 {
-                            let v = pr_row.lanes(i)
-                                + c_row.lanes(i) * (th_row.lanes(i) - tr_row.lanes(i));
-                            p_row.set_lanes(i, v);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let v = pr_row.at(i) + c_row.at(i) * (th_row.at(i) - tr_row.at(i));
-                        p_row.set(i, v);
-                    }
+                    numerics::x_walk!(R, lanes_on, -h..dc.nx as isize + h, |lw, i| {
+                        let v = pr_row.lanes(lw, i)
+                            + c_row.lanes(lw, i) * (th_row.lanes(lw, i) - tr_row.lanes(lw, i));
+                        p_row.set_lanes(lw, i, v);
+                    });
                 }
             }
         },
@@ -98,7 +89,7 @@ pub fn eos_full<R: Real>(
     dev.launch_par(
         stream,
         Launch::new(name, g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, dc.px() as isize))
             .reading(reads_all(&[th, g2]))
             .writing(writes_all(&[p])),
         dc.py(),
@@ -121,27 +112,13 @@ pub fn eos_full<R: Real>(
                 for k in -h..dc.nl as isize + h {
                     let th_row = thv.row(j, k);
                     let mut p_row = pv.row_mut(j, k);
-                    let (mut i, i1) = (-h, dc.nx as isize + h);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        while i + nl <= i1 {
-                            // The powf core stays scalar per lane: `map`
-                            // applies the identical scalar function, so the
-                            // bits match the scalar walk exactly.
-                            let rho_th =
-                                th_row.lanes(i) * R::Lane::load(&inv_g_row[(i + h) as usize..]);
-                            p_row.set_lanes(i, rho_th.map(eos::pressure_from_rho_theta));
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        p_row.set(
-                            i,
-                            eos::pressure_from_rho_theta(
-                                th_row.at(i) * inv_g_row[(i + h) as usize],
-                            ),
-                        );
-                    }
+                    numerics::x_walk!(R, lanes_on, -h..dc.nx as isize + h, |lw, i| {
+                        // The powf core stays scalar per lane: `map`
+                        // applies the identical scalar function at
+                        // either width.
+                        let rho_th = th_row.lanes(lw, i) * lw.load(&inv_g_row[(i + h) as usize..]);
+                        p_row.set_lanes(lw, i, rho_th.map(eos::pressure_from_rho_theta));
+                    });
                 }
             }
         },

@@ -15,10 +15,11 @@
 //! GPU port agrees with the CPU reference to round-off.
 
 use crate::geom::DeviceGeom;
-use crate::kernels::advection::lane_width;
-use crate::kernels::region::{reads_stencil, writes_rects, KName, Region};
+use crate::kernels::region::{reads_stencil, widest, writes_rects, KName, Region};
+use crate::kernels::walk_lanes;
 use crate::view::{V3SlabMut, V3};
-use numerics::simd::{Lane, LANES};
+use numerics::simd::Lane;
+use numerics::Real;
 use physics::consts::GRAV;
 use vgpu::{Buf, Device, Dim3, KernelCost, Launch, StreamId, VgpuError};
 
@@ -48,6 +49,12 @@ fn column_launch(area: u64) -> (Dim3, Dim3) {
     let cols = area.max(1);
     let bx = cols.div_ceil(64 * 4).max(1) as u32;
     (Dim3::new(bx, 4, 1), block)
+}
+
+/// Whether every lane of `beta` is a usable pivot (`|β| > 0`).
+#[inline(always)]
+fn pivots_ok<R: Real, L: Lane<R>>(beta: L) -> bool {
+    (0..L::N).all(|e| beta.extract(e).abs() > R::ZERO)
 }
 
 numerics::simd_kernel! {
@@ -91,7 +98,7 @@ pub fn helmholtz<R: Real>(
     dev.launch_par(
         stream,
         Launch::new(kn.get(region), gd, bd, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
             .reading(reads_stencil(&dc, &rects, &[
                 args.u, args.v, args.rho, args.th, args.p, args.frho, args.fth,
                 args.th_ref, args.p_ref,
@@ -182,45 +189,25 @@ pub fn helmholtz<R: Real>(
                         let sx_row = sxv.row(j, 0);
                         let sy_jm1 = syv.row(j - 1, 0);
                         let sy_0 = syv.row(j, 0);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vone = R::Lane::splat(one);
-                            let vh = R::Lane::splat(half);
-                            let vdz = R::Lane::splat(dz);
-                            while i + nl <= i1 {
-                                let gm = g_row.lanes(i);
-                                gm.store(&mut gm_row[li(i)..]);
-                                (vone / (gm * vdz)).store(&mut inv_gdz_row[li(i)..]);
-                                let ws = if flat {
-                                    R::Lane::splat(R::ZERO)
-                                } else {
-                                    let rho0 = rho0_row.lanes(i);
-                                    let uspec = vh * (u0.lanes(i - 1) + u0.lanes(i)) / rho0;
-                                    let vspec = vh * (vjm1.lanes(i) + v0.lanes(i)) / rho0;
-                                    let slopex = vh * (sx_row.lanes(i - 1) + sx_row.lanes(i));
-                                    let slopey = vh * (sy_jm1.lanes(i) + sy_0.lanes(i));
-                                    rho0 * (uspec * slopex + vspec * slopey)
-                                };
-                                ws.store(&mut w_surf[li(i)..]);
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            let gm = g_row.at(i);
-                            gm_row[li(i)] = gm;
-                            inv_gdz_row[li(i)] = one / (gm * dz);
-                            w_surf[li(i)] = if flat {
-                                R::ZERO
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let vone = lw.splat(one);
+                            let vh = lw.splat(half);
+                            let vdz = lw.splat(dz);
+                            let gm = g_row.lanes(lw, i);
+                            gm.store(&mut gm_row[li(i)..]);
+                            (vone / (gm * vdz)).store(&mut inv_gdz_row[li(i)..]);
+                            let ws = if flat {
+                                lw.splat(R::ZERO)
                             } else {
-                                let rho0 = rho0_row.at(i);
-                                let uspec = half * (u0.at(i - 1) + u0.at(i)) / rho0;
-                                let vspec = half * (vjm1.at(i) + v0.at(i)) / rho0;
-                                let slopex = half * (sx_row.at(i - 1) + sx_row.at(i));
-                                let slopey = half * (sy_jm1.at(i) + sy_0.at(i));
+                                let rho0 = rho0_row.lanes(lw, i);
+                                let uspec = vh * (u0.lanes(lw, i - 1) + u0.lanes(lw, i)) / rho0;
+                                let vspec = vh * (vjm1.lanes(lw, i) + v0.lanes(lw, i)) / rho0;
+                                let slopex = vh * (sx_row.lanes(lw, i - 1) + sx_row.lanes(lw, i));
+                                let slopey = vh * (sy_jm1.lanes(lw, i) + sy_0.lanes(lw, i));
                                 rho0 * (uspec * slopex + vspec * slopey)
                             };
-                        }
+                            ws.store(&mut w_surf[li(i)..]);
+                        });
                     }
 
                     // Explicit star parts per center.
@@ -245,61 +232,37 @@ pub fn helmholtz<R: Real>(
                         let c2m_0 = c2mv.row(j, k);
                         let mut strho_row = strho.row_mut(j, k);
                         let mut stth_row = stth.row_mut(j, k);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vh = R::Lane::splat(half);
-                            let vdx = R::Lane::splat(inv_dx);
-                            let vdy = R::Lane::splat(inv_dy);
-                            let vdt = R::Lane::splat(dt);
-                            let vomb = R::Lane::splat(one - bt);
-                            while i + nl <= i1 {
-                                let dh_rho = (u0.lanes(i) - u0.lanes(i - 1)) * vdx
-                                    + (v0.lanes(i) - vjm1.lanes(i)) * vdy;
-                                let thc_c = thc_0.lanes(i);
-                                let thu_p = vh * (thc_c + thc_0.lanes(i + 1));
-                                let thu_m = vh * (thc_0.lanes(i - 1) + thc_c);
-                                let thv_p = vh * (thc_c + thc_jp1.lanes(i));
-                                let thv_m = vh * (thc_jm1.lanes(i) + thc_c);
-                                let dh_th = (thu_p * u0.lanes(i) - thu_m * u0.lanes(i - 1)) * vdx
-                                    + (thv_p * v0.lanes(i) - thv_m * vjm1.lanes(i)) * vdy;
-                                let inv_gdz = R::Lane::load(&inv_gdz_row[li(i)..]);
-                                let dwz_old = (w_kp.lanes(i) - w_k.lanes(i)) * inv_gdz;
-                                let dthwz_old = (thw_kp.lanes(i) * w_kp.lanes(i)
-                                    - thw_k.lanes(i) * w_k.lanes(i))
-                                    * inv_gdz;
-                                let rho_st = rho_0.lanes(i)
-                                    + vdt * (frho_0.lanes(i) - dh_rho - vomb * dwz_old);
-                                let th_st = th_0.lanes(i)
-                                    + vdt * (fth_0.lanes(i) - dh_th - vomb * dthwz_old);
-                                strho_row.set_lanes(i, rho_st);
-                                stth_row.set_lanes(i, th_st);
-                                (pref_0.lanes(i) + c2m_0.lanes(i) * (th_st - thref_0.lanes(i)))
-                                    .store(&mut p_st[kc * nxs + li(i)..]);
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            let dh_rho = (u0.at(i) - u0.at(i - 1)) * inv_dx
-                                + (v0.at(i) - vjm1.at(i)) * inv_dy;
-                            let thu_p = half * (thc_0.at(i) + thc_0.at(i + 1));
-                            let thu_m = half * (thc_0.at(i - 1) + thc_0.at(i));
-                            let thv_p = half * (thc_0.at(i) + thc_jp1.at(i));
-                            let thv_m = half * (thc_jm1.at(i) + thc_0.at(i));
-                            let dh_th = (thu_p * u0.at(i) - thu_m * u0.at(i - 1)) * inv_dx
-                                + (thv_p * v0.at(i) - thv_m * vjm1.at(i)) * inv_dy;
-                            let dwz_old = (w_kp.at(i) - w_k.at(i)) * inv_gdz_row[li(i)];
-                            let dthwz_old = (thw_kp.at(i) * w_kp.at(i) - thw_k.at(i) * w_k.at(i))
-                                * inv_gdz_row[li(i)];
-                            let rho_st =
-                                rho_0.at(i) + dt * (frho_0.at(i) - dh_rho - (one - bt) * dwz_old);
-                            let th_st =
-                                th_0.at(i) + dt * (fth_0.at(i) - dh_th - (one - bt) * dthwz_old);
-                            strho_row.set(i, rho_st);
-                            stth_row.set(i, th_st);
-                            p_st[kc * nxs + li(i)] =
-                                pref_0.at(i) + c2m_0.at(i) * (th_st - thref_0.at(i));
-                        }
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let vh = lw.splat(half);
+                            let vdx = lw.splat(inv_dx);
+                            let vdy = lw.splat(inv_dy);
+                            let vdt = lw.splat(dt);
+                            let vomb = lw.splat(one - bt);
+                            let dh_rho = (u0.lanes(lw, i) - u0.lanes(lw, i - 1)) * vdx
+                                + (v0.lanes(lw, i) - vjm1.lanes(lw, i)) * vdy;
+                            let thc_c = thc_0.lanes(lw, i);
+                            let thu_p = vh * (thc_c + thc_0.lanes(lw, i + 1));
+                            let thu_m = vh * (thc_0.lanes(lw, i - 1) + thc_c);
+                            let thv_p = vh * (thc_c + thc_jp1.lanes(lw, i));
+                            let thv_m = vh * (thc_jm1.lanes(lw, i) + thc_c);
+                            let dh_th = (thu_p * u0.lanes(lw, i) - thu_m * u0.lanes(lw, i - 1))
+                                * vdx
+                                + (thv_p * v0.lanes(lw, i) - thv_m * vjm1.lanes(lw, i)) * vdy;
+                            let inv_gdz = lw.load(&inv_gdz_row[li(i)..]);
+                            let dwz_old = (w_kp.lanes(lw, i) - w_k.lanes(lw, i)) * inv_gdz;
+                            let dthwz_old = (thw_kp.lanes(lw, i) * w_kp.lanes(lw, i)
+                                - thw_k.lanes(lw, i) * w_k.lanes(lw, i))
+                                * inv_gdz;
+                            let rho_st = rho_0.lanes(lw, i)
+                                + vdt * (frho_0.lanes(lw, i) - dh_rho - vomb * dwz_old);
+                            let th_st = th_0.lanes(lw, i)
+                                + vdt * (fth_0.lanes(lw, i) - dh_th - vomb * dthwz_old);
+                            strho_row.set_lanes(lw, i, rho_st);
+                            stth_row.set_lanes(lw, i, th_st);
+                            (pref_0.lanes(lw, i)
+                                + c2m_0.lanes(lw, i) * (th_st - thref_0.lanes(lw, i)))
+                            .store(&mut p_st[kc * nxs + li(i)..]);
+                        });
                     }
 
                     // Tridiagonal rows for interior w levels.
@@ -321,73 +284,45 @@ pub fn helmholtz<R: Real>(
                         let strho_k = strho.row(j, k);
                         let w_k = wv.row(j, k);
                         let fw_k = fwv.row(j, k);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vmtb2 = R::Lane::splat(-tb2);
-                            let vtb2 = R::Lane::splat(tb2);
-                            let vdz = R::Lane::splat(dz);
-                            let vdz2 = R::Lane::splat(dz * dz);
-                            let vg2dz = R::Lane::splat(grav / (R::TWO * dz));
-                            let vone = R::Lane::splat(one);
-                            let vh = R::Lane::splat(half);
-                            let vgrav = R::Lane::splat(grav);
-                            let vdt = R::Lane::splat(dt);
-                            let vomb = R::Lane::splat(one - bt);
-                            let vbt = R::Lane::splat(bt);
-                            while i + nl <= i1 {
-                                let gm = R::Lane::load(&gm_row[li(i)..]);
-                                let c2m_lo = c2m_lo_row.lanes(i);
-                                let c2m_hi = c2m_hi_row.lanes(i);
-                                let thw_m = thw_m_row.lanes(i);
-                                let thw_0 = thw_0_row.lanes(i);
-                                let thw_p = thw_p_row.lanes(i);
-                                (vmtb2 / gm * (c2m_lo * thw_m / vdz2 - vg2dz))
-                                    .store(&mut ta[row * nxs + li(i)..]);
-                                (vone + vtb2 / (gm * vdz * vdz) * thw_0 * (c2m_hi + c2m_lo))
-                                    .store(&mut tb[row * nxs + li(i)..]);
-                                (vmtb2 / gm * (c2m_hi * thw_p / vdz2 + vg2dz))
-                                    .store(&mut tc[row * nxs + li(i)..]);
-                                let p_old_grad = (p_k.lanes(i) - p_km1.lanes(i)) / vdz;
-                                let buoy_old = vgrav
-                                    * (vh * (rho_km1.lanes(i) + rho_k.lanes(i)) - rbw_k.lanes(i));
-                                let p_st_grad = (R::Lane::load(&p_st[kw * nxs + li(i)..])
-                                    - R::Lane::load(&p_st[(kw - 1) * nxs + li(i)..]))
-                                    / vdz;
-                                let buoy_st = vgrav
-                                    * (vh * (strho_km1.lanes(i) + strho_k.lanes(i))
-                                        - rbw_k.lanes(i));
-                                (w_k.lanes(i) + vdt * fw_k.lanes(i)
-                                    - vdt * vomb * (p_old_grad + buoy_old)
-                                    - vdt * vbt * (p_st_grad + buoy_st))
-                                    .store(&mut td[row * nxs + li(i)..]);
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            let gm = gm_row[li(i)];
-                            let c2m_lo = c2m_lo_row.at(i);
-                            let c2m_hi = c2m_hi_row.at(i);
-                            let thw_m = thw_m_row.at(i);
-                            let thw_0 = thw_0_row.at(i);
-                            let thw_p = thw_p_row.at(i);
-                            ta[row * nxs + li(i)] =
-                                -tb2 / gm * (c2m_lo * thw_m / (dz * dz) - grav / (R::TWO * dz));
-                            tb[row * nxs + li(i)] =
-                                one + tb2 / (gm * dz * dz) * thw_0 * (c2m_hi + c2m_lo);
-                            tc[row * nxs + li(i)] =
-                                -tb2 / gm * (c2m_hi * thw_p / (dz * dz) + grav / (R::TWO * dz));
-                            let p_old_grad = (p_k.at(i) - p_km1.at(i)) / dz;
-                            let buoy_old =
-                                grav * (half * (rho_km1.at(i) + rho_k.at(i)) - rbw_k.at(i));
-                            let p_st_grad =
-                                (p_st[kw * nxs + li(i)] - p_st[(kw - 1) * nxs + li(i)]) / dz;
-                            let buoy_st =
-                                grav * (half * (strho_km1.at(i) + strho_k.at(i)) - rbw_k.at(i));
-                            td[row * nxs + li(i)] = w_k.at(i) + dt * fw_k.at(i)
-                                - dt * (one - bt) * (p_old_grad + buoy_old)
-                                - dt * bt * (p_st_grad + buoy_st);
-                        }
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let vmtb2 = lw.splat(-tb2);
+                            let vtb2 = lw.splat(tb2);
+                            let vdz = lw.splat(dz);
+                            let vdz2 = lw.splat(dz * dz);
+                            let vg2dz = lw.splat(grav / (R::TWO * dz));
+                            let vone = lw.splat(one);
+                            let vh = lw.splat(half);
+                            let vgrav = lw.splat(grav);
+                            let vdt = lw.splat(dt);
+                            let vomb = lw.splat(one - bt);
+                            let vbt = lw.splat(bt);
+                            let gm = lw.load(&gm_row[li(i)..]);
+                            let c2m_lo = c2m_lo_row.lanes(lw, i);
+                            let c2m_hi = c2m_hi_row.lanes(lw, i);
+                            let thw_m = thw_m_row.lanes(lw, i);
+                            let thw_0 = thw_0_row.lanes(lw, i);
+                            let thw_p = thw_p_row.lanes(lw, i);
+                            (vmtb2 / gm * (c2m_lo * thw_m / vdz2 - vg2dz))
+                                .store(&mut ta[row * nxs + li(i)..]);
+                            (vone + vtb2 / (gm * vdz * vdz) * thw_0 * (c2m_hi + c2m_lo))
+                                .store(&mut tb[row * nxs + li(i)..]);
+                            (vmtb2 / gm * (c2m_hi * thw_p / vdz2 + vg2dz))
+                                .store(&mut tc[row * nxs + li(i)..]);
+                            let p_old_grad = (p_k.lanes(lw, i) - p_km1.lanes(lw, i)) / vdz;
+                            let buoy_old = vgrav
+                                * (vh * (rho_km1.lanes(lw, i) + rho_k.lanes(lw, i))
+                                    - rbw_k.lanes(lw, i));
+                            let p_st_grad = (lw.load(&p_st[kw * nxs + li(i)..])
+                                - lw.load(&p_st[(kw - 1) * nxs + li(i)..]))
+                                / vdz;
+                            let buoy_st = vgrav
+                                * (vh * (strho_km1.lanes(lw, i) + strho_k.lanes(lw, i))
+                                    - rbw_k.lanes(lw, i));
+                            (w_k.lanes(lw, i) + vdt * fw_k.lanes(lw, i)
+                                - vdt * vomb * (p_old_grad + buoy_old)
+                                - vdt * vbt * (p_st_grad + buoy_st))
+                                .store(&mut td[row * nxs + li(i)..]);
+                        });
                     }
                     if nz >= 2 {
                         for l in 0..nxs {
@@ -403,83 +338,37 @@ pub fn helmholtz<R: Real>(
                     // solve_in_place` on rows [0, nz-1).
                     let n = nz - 1;
                     assert!(n >= 1);
-                    let lane_tail = if lanes_on { nxs - nxs % LANES } else { 0 };
-                    for l in (0..lane_tail).step_by(LANES) {
-                        let beta = R::Lane::load(&tb[l..]);
-                        for e in 0..LANES {
-                            assert!(
-                                beta.extract(e).abs() > R::ZERO,
-                                "zero pivot in tridiagonal solve (row 0)"
-                            );
-                        }
-                        (R::Lane::load(&td[l..]) / beta).store(&mut td[l..]);
-                        (R::Lane::load(&tc[l..]) / beta).store(&mut tscr[l..]);
-                    }
-                    for l in lane_tail..nxs {
-                        let beta = tb[l];
-                        assert!(
-                            beta.abs() > R::ZERO,
-                            "zero pivot in tridiagonal solve (row 0)"
-                        );
-                        td[l] /= beta;
-                        tscr[l] = tc[l] / beta;
-                    }
+                    numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                        let l = li(i);
+                        let beta = lw.load(&tb[l..]);
+                        assert!(pivots_ok(beta), "zero pivot in tridiagonal solve (row 0)");
+                        (lw.load(&td[l..]) / beta).store(&mut td[l..]);
+                        (lw.load(&tc[l..]) / beta).store(&mut tscr[l..]);
+                    });
                     for kr in 1..n {
-                        for l in (0..lane_tail).step_by(LANES) {
-                            let beta = R::Lane::load(&tb[kr * nxs + l..])
-                                - R::Lane::load(&ta[kr * nxs + l..])
-                                    * R::Lane::load(&tscr[(kr - 1) * nxs + l..]);
-                            for e in 0..LANES {
-                                assert!(
-                                    beta.extract(e).abs() > R::ZERO,
-                                    "zero pivot in tridiagonal solve"
-                                );
-                            }
-                            (R::Lane::load(&tc[kr * nxs + l..]) / beta)
-                                .store(&mut tscr[kr * nxs + l..]);
-                            ((R::Lane::load(&td[kr * nxs + l..])
-                                - R::Lane::load(&ta[kr * nxs + l..])
-                                    * R::Lane::load(&td[(kr - 1) * nxs + l..]))
-                                / beta)
-                                .store(&mut td[kr * nxs + l..]);
-                        }
-                        for l in lane_tail..nxs {
-                            let beta =
-                                tb[kr * nxs + l] - ta[kr * nxs + l] * tscr[(kr - 1) * nxs + l];
-                            assert!(beta.abs() > R::ZERO, "zero pivot in tridiagonal solve");
-                            tscr[kr * nxs + l] = tc[kr * nxs + l] / beta;
-                            td[kr * nxs + l] = (td[kr * nxs + l]
-                                - ta[kr * nxs + l] * td[(kr - 1) * nxs + l])
-                                / beta;
-                        }
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let (l, lm) = (kr * nxs + li(i), (kr - 1) * nxs + li(i));
+                            let beta = lw.load(&tb[l..]) - lw.load(&ta[l..]) * lw.load(&tscr[lm..]);
+                            assert!(pivots_ok(beta), "zero pivot in tridiagonal solve");
+                            (lw.load(&tc[l..]) / beta).store(&mut tscr[l..]);
+                            ((lw.load(&td[l..]) - lw.load(&ta[l..]) * lw.load(&td[lm..])) / beta)
+                                .store(&mut td[l..]);
+                        });
                     }
                     for kr in (0..n - 1).rev() {
-                        for l in (0..lane_tail).step_by(LANES) {
-                            let next = R::Lane::load(&td[(kr + 1) * nxs + l..]);
-                            (R::Lane::load(&td[kr * nxs + l..])
-                                - R::Lane::load(&tscr[kr * nxs + l..]) * next)
-                                .store(&mut td[kr * nxs + l..]);
-                        }
-                        for l in lane_tail..nxs {
-                            let next = td[(kr + 1) * nxs + l];
-                            td[kr * nxs + l] -= tscr[kr * nxs + l] * next;
-                        }
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let (l, lp) = (kr * nxs + li(i), (kr + 1) * nxs + li(i));
+                            let next = lw.load(&td[lp..]);
+                            (lw.load(&td[l..]) - lw.load(&tscr[l..]) * next).store(&mut td[l..]);
+                        });
                     }
 
                     // Write the new w levels.
                     {
                         let mut w_row = wv.row_mut(j, 0);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            while i + nl <= i1 {
-                                w_row.set_lanes(i, R::Lane::load(&w_surf[li(i)..]));
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            w_row.set(i, w_surf[li(i)]);
-                        }
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            w_row.set_lanes(lw, i, lw.load(&w_surf[li(i)..]));
+                        });
                     }
                     {
                         let mut w_row = wv.row_mut(j, nz as isize);
@@ -489,20 +378,9 @@ pub fn helmholtz<R: Real>(
                     }
                     for kw in 1..nz {
                         let mut w_row = wv.row_mut(j, kw as isize);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            while i + nl <= i1 {
-                                w_row.set_lanes(
-                                    i,
-                                    R::Lane::load(&td[(kw - 1) * nxs + li(i)..]),
-                                );
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            w_row.set(i, td[(kw - 1) * nxs + li(i)]);
-                        }
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            w_row.set_lanes(lw, i, lw.load(&td[(kw - 1) * nxs + li(i)..]));
+                        });
                     }
                 }
             }
@@ -544,7 +422,7 @@ pub fn density<R: Real>(
     dev.launch_par(
         stream,
         Launch::new(kn.get(region), gd, bd, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
             .reading(reads_stencil(&dc, &rects, &[st_rho]))
             .reading(reads_stencil(&dw, &rects, &[w]))
             .reading([g2.access()])
@@ -568,24 +446,14 @@ pub fn density<R: Real>(
                         let w_k = wv.row(j, k);
                         let w_kp = wv.row(j, k + 1);
                         let mut rho_row = rv.row_mut(j, k);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vone = R::Lane::splat(R::ONE);
-                            let vdz = R::Lane::splat(dz);
-                            let vfac = R::Lane::splat(fac);
-                            while i + nl <= i1 {
-                                let inv_gdz = vone / (g_row.lanes(i) * vdz);
-                                let dwz = (w_kp.lanes(i) - w_k.lanes(i)) * inv_gdz;
-                                rho_row.set_lanes(i, st_row.lanes(i) - vfac * dwz);
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            let inv_gdz = R::ONE / (g_row.at(i) * dz);
-                            let dwz = (w_kp.at(i) - w_k.at(i)) * inv_gdz;
-                            rho_row.set(i, st_row.at(i) - fac * dwz);
-                        }
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let vone = lw.splat(R::ONE);
+                            let vdz = lw.splat(dz);
+                            let vfac = lw.splat(fac);
+                            let inv_gdz = vone / (g_row.lanes(lw, i) * vdz);
+                            let dwz = (w_kp.lanes(lw, i) - w_k.lanes(lw, i)) * inv_gdz;
+                            rho_row.set_lanes(lw, i, st_row.lanes(lw, i) - vfac * dwz);
+                        });
                     }
                 }
             }
@@ -629,7 +497,7 @@ pub fn potential_temperature<R: Real>(
     dev.launch_par(
         stream,
         Launch::new(kn.get(region), gd, bd, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
             .reading(reads_stencil(&dc, &rects, &[st_th]))
             .reading(reads_stencil(&dw, &rects, &[w, thw_b]))
             .reading([g2.access()])
@@ -657,27 +525,16 @@ pub fn potential_temperature<R: Real>(
                         let thw_k = thwv.row(j, k);
                         let thw_kp = thwv.row(j, k + 1);
                         let mut th_row = tv.row_mut(j, k);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vone = R::Lane::splat(R::ONE);
-                            let vdz = R::Lane::splat(dz);
-                            let vfac = R::Lane::splat(fac);
-                            while i + nl <= i1 {
-                                let inv_gdz = vone / (g_row.lanes(i) * vdz);
-                                let dthwz = (thw_kp.lanes(i) * w_kp.lanes(i)
-                                    - thw_k.lanes(i) * w_k.lanes(i))
-                                    * inv_gdz;
-                                th_row.set_lanes(i, st_row.lanes(i) - vfac * dthwz);
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            let inv_gdz = R::ONE / (g_row.at(i) * dz);
-                            let dthwz =
-                                (thw_kp.at(i) * w_kp.at(i) - thw_k.at(i) * w_k.at(i)) * inv_gdz;
-                            th_row.set(i, st_row.at(i) - fac * dthwz);
-                        }
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let vone = lw.splat(R::ONE);
+                            let vdz = lw.splat(dz);
+                            let vfac = lw.splat(fac);
+                            let inv_gdz = vone / (g_row.lanes(lw, i) * vdz);
+                            let dthwz = (thw_kp.lanes(lw, i) * w_kp.lanes(lw, i)
+                                - thw_k.lanes(lw, i) * w_k.lanes(lw, i))
+                                * inv_gdz;
+                            th_row.set_lanes(lw, i, st_row.lanes(lw, i) - vfac * dthwz);
+                        });
                     }
                 }
             }

@@ -15,3 +15,20 @@ pub mod tiled;
 pub mod transform;
 
 pub use region::{launch_cfg, Rect, Region};
+
+use numerics::simd::Lane;
+use numerics::Real;
+
+/// Lane width an x-walk over rows `widest` points wide really runs at,
+/// recorded on its launch (informational — never priced by the cost
+/// model): `R::Lane::N` when lanes are on and a whole lane fits in the
+/// widest row, else 1. A `Region::XBound` strip is `halo` = 2 columns
+/// wide, so its launches run, and record, width 1.
+pub(crate) fn walk_lanes<R: Real>(lanes_on: bool, widest: isize) -> u32 {
+    let n = <R::Lane as Lane<R>>::N;
+    if lanes_on && widest >= n as isize {
+        n as u32
+    } else {
+        1
+    }
+}

@@ -5,10 +5,11 @@
 //! inner/boundary regions for overlap method 2.
 
 use crate::geom::DeviceGeom;
-use crate::kernels::advection::lane_width;
-use crate::kernels::region::{launch_cfg_region, reads_stencil, writes_rects, KName, Region};
+use crate::kernels::region::{
+    launch_cfg_region, reads_stencil, widest, writes_rects, KName, Region,
+};
+use crate::kernels::walk_lanes;
 use crate::view::{V3SlabMut, V3};
-use numerics::simd::{Lane, LANES};
 use vgpu::{Buf, Device, KernelCost, Launch, StreamId, VgpuError};
 
 numerics::simd_kernel! {
@@ -42,7 +43,7 @@ pub fn momentum_x<R: Real>(
     dev.launch_par(
         stream,
         Launch::new(kn.get(region), gd, bd, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
             .reading(reads_stencil(&dc, &rects, &[p, fu]))
             .reading(reads_stencil(&dp, &rects, &[gub]))
             .writing(writes_rects(&dc, &rects, &[u])),
@@ -64,24 +65,16 @@ pub fn momentum_x<R: Real>(
                         let p_row = pv.row(j, k);
                         let f_row = fv.row(j, k);
                         let mut u_row = uv.row_mut(j, k);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vdx = R::Lane::splat(inv_dx);
-                            let vdt = R::Lane::splat(dt);
-                            while i + nl <= i1 {
-                                let dpdx = (p_row.lanes(i + 1) - p_row.lanes(i)) * vdx;
-                                u_row.add_lanes(
-                                    i,
-                                    vdt * (-g_row.lanes(i) * dpdx + f_row.lanes(i)),
-                                );
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            let dpdx = (p_row.at(i + 1) - p_row.at(i)) * inv_dx;
-                            u_row.add(i, dt * (-g_row.at(i) * dpdx + f_row.at(i)));
-                        }
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let vdx = lw.splat(inv_dx);
+                            let vdt = lw.splat(dt);
+                            let dpdx = (p_row.lanes(lw, i + 1) - p_row.lanes(lw, i)) * vdx;
+                            u_row.add_lanes(
+                                lw,
+                                i,
+                                vdt * (-g_row.lanes(lw, i) * dpdx + f_row.lanes(lw, i)),
+                            );
+                        });
                     }
                 }
             }
@@ -121,7 +114,7 @@ pub fn momentum_y<R: Real>(
     dev.launch_par(
         stream,
         Launch::new(kn.get(region), gd, bd, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
             .reading(reads_stencil(&dc, &rects, &[p, fv_t]))
             .reading(reads_stencil(&dp, &rects, &[gvb]))
             .writing(writes_rects(&dc, &rects, &[v])),
@@ -144,24 +137,16 @@ pub fn momentum_y<R: Real>(
                         let pjp1_row = pv.row(j + 1, k);
                         let f_row = fv.row(j, k);
                         let mut v_row = vv.row_mut(j, k);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vdy = R::Lane::splat(inv_dy);
-                            let vdt = R::Lane::splat(dt);
-                            while i + nl <= i1 {
-                                let dpdy = (pjp1_row.lanes(i) - p_row.lanes(i)) * vdy;
-                                v_row.add_lanes(
-                                    i,
-                                    vdt * (-g_row.lanes(i) * dpdy + f_row.lanes(i)),
-                                );
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            let dpdy = (pjp1_row.at(i) - p_row.at(i)) * inv_dy;
-                            v_row.add(i, dt * (-g_row.at(i) * dpdy + f_row.at(i)));
-                        }
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let vdy = lw.splat(inv_dy);
+                            let vdt = lw.splat(dt);
+                            let dpdy = (pjp1_row.lanes(lw, i) - p_row.lanes(lw, i)) * vdy;
+                            v_row.add_lanes(
+                                lw,
+                                i,
+                                vdt * (-g_row.lanes(lw, i) * dpdy + f_row.lanes(lw, i)),
+                            );
+                        });
                     }
                 }
             }

@@ -4,8 +4,8 @@
 //! rain sedimentation (Fig. 1 "Precipitation"), and the Rayleigh sponge.
 
 use crate::geom::DeviceGeom;
-use crate::kernels::advection::lane_width;
 use crate::kernels::region::{launch_cfg, reads_all, writes_all};
+use crate::kernels::walk_lanes;
 use crate::view::{V3SlabMut, V3};
 use numerics::simd::{Lane, LANES};
 use physics::eos;
@@ -40,7 +40,7 @@ pub fn warm_rain<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("warm_rain", g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, nx))
             .reading(reads_all(&[g2, p, rho]))
             .writing(writes_all(&[th, qv, qc, qr])),
         ny as usize,
@@ -71,98 +71,57 @@ pub fn warm_rain<R: Real>(
                     let mut qv_row = qvv.row_mut(j, k);
                     let mut qc_row = qcv.row_mut(j, k);
                     let mut qr_row = qrv.row_mut(j, k);
-                    let (mut i, i1) = (0, nx);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        while i + nl <= i1 {
-                            // Lane the surrounding divisions/multiplies; the
-                            // transcendental Kessler core runs scalar per
-                            // lane so the bits match the scalar walk.
-                            let gm = g_row.lanes(i);
-                            let rho_star = rho_row.lanes(i);
-                            let rho_phys = rho_star / gm;
-                            let qv_l = qv_row.lanes(i) / rho_star;
-                            let qc_l = qc_row.lanes(i) / rho_star;
-                            let qr_l = qr_row.lanes(i) / rho_star;
-                            let pp = p_row.lanes(i);
-                            let pi = pp.map(eos::exner);
-                            let fac = R::Lane::from_fn(|e| {
-                                eos::theta_m_factor(
-                                    qv_l.extract(e),
-                                    qc_l.extract(e),
-                                    qr_l.extract(e),
-                                )
-                            });
-                            let theta = th_row.lanes(i) / (rho_star * fac);
-                            let mut out_th = [R::ZERO; LANES];
-                            let mut out_qv = [R::ZERO; LANES];
-                            let mut out_qc = [R::ZERO; LANES];
-                            let mut out_qr = [R::ZERO; LANES];
-                            for e in 0..LANES {
-                                let out = kessler::step_point(
-                                    pp.extract(e),
-                                    pi.extract(e),
-                                    rho_phys.extract(e),
-                                    dtr,
-                                    PointState {
-                                        theta: theta.extract(e),
-                                        qv: qv_l.extract(e),
-                                        qc: qc_l.extract(e),
-                                        qr: qr_l.extract(e),
-                                    },
-                                );
-                                out_th[e] = out.theta;
-                                out_qv[e] = out.qv;
-                                out_qc[e] = out.qc;
-                                out_qr[e] = out.qr;
-                            }
-                            let o_th = R::Lane::load(&out_th);
-                            let o_qv = R::Lane::load(&out_qv);
-                            let o_qc = R::Lane::load(&out_qc);
-                            let o_qr = R::Lane::load(&out_qr);
-                            let fac_new = R::Lane::from_fn(|e| {
-                                eos::theta_m_factor(
-                                    o_qv.extract(e),
-                                    o_qc.extract(e),
-                                    o_qr.extract(e),
-                                )
-                            });
-                            th_row.set_lanes(i, rho_star * o_th * fac_new);
-                            qv_row.set_lanes(i, rho_star * o_qv);
-                            qc_row.set_lanes(i, rho_star * o_qc);
-                            qr_row.set_lanes(i, rho_star * o_qr);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let gm = g_row.at(i);
-                        let rho_star = rho_row.at(i);
+                    numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                        // Lane the surrounding divisions/multiplies; the
+                        // transcendental Kessler core runs scalar per
+                        // lane at either width.
+                        let gm = g_row.lanes(lw, i);
+                        let rho_star = rho_row.lanes(lw, i);
                         let rho_phys = rho_star / gm;
-                        let qv_s = qv_row.at(i) / rho_star;
-                        let qc_s = qc_row.at(i) / rho_star;
-                        let qr_s = qr_row.at(i) / rho_star;
-                        let pp = p_row.at(i);
-                        let pi = eos::exner(pp);
-                        let fac = eos::theta_m_factor(qv_s, qc_s, qr_s);
-                        let theta = th_row.at(i) / (rho_star * fac);
-                        let out = kessler::step_point(
-                            pp,
-                            pi,
-                            rho_phys,
-                            dtr,
-                            PointState {
-                                theta,
-                                qv: qv_s,
-                                qc: qc_s,
-                                qr: qr_s,
-                            },
-                        );
-                        let fac_new = eos::theta_m_factor(out.qv, out.qc, out.qr);
-                        th_row.set(i, rho_star * out.theta * fac_new);
-                        qv_row.set(i, rho_star * out.qv);
-                        qc_row.set(i, rho_star * out.qc);
-                        qr_row.set(i, rho_star * out.qr);
-                    }
+                        let qv_l = qv_row.lanes(lw, i) / rho_star;
+                        let qc_l = qc_row.lanes(lw, i) / rho_star;
+                        let qr_l = qr_row.lanes(lw, i) / rho_star;
+                        let pp = p_row.lanes(lw, i);
+                        let pi = pp.map(eos::exner);
+                        let fac = lw.from_fn(|e| {
+                            eos::theta_m_factor(qv_l.extract(e), qc_l.extract(e), qr_l.extract(e))
+                        });
+                        let theta = th_row.lanes(lw, i) / (rho_star * fac);
+                        // Sized for the widest lane; a pass fills `N`.
+                        let mut out_th = [R::ZERO; LANES];
+                        let mut out_qv = [R::ZERO; LANES];
+                        let mut out_qc = [R::ZERO; LANES];
+                        let mut out_qr = [R::ZERO; LANES];
+                        for e in 0..lw.n() {
+                            let out = kessler::step_point(
+                                pp.extract(e),
+                                pi.extract(e),
+                                rho_phys.extract(e),
+                                dtr,
+                                PointState {
+                                    theta: theta.extract(e),
+                                    qv: qv_l.extract(e),
+                                    qc: qc_l.extract(e),
+                                    qr: qr_l.extract(e),
+                                },
+                            );
+                            out_th[e] = out.theta;
+                            out_qv[e] = out.qv;
+                            out_qc[e] = out.qc;
+                            out_qr[e] = out.qr;
+                        }
+                        let o_th = lw.load(&out_th);
+                        let o_qv = lw.load(&out_qv);
+                        let o_qc = lw.load(&out_qc);
+                        let o_qr = lw.load(&out_qr);
+                        let fac_new = lw.from_fn(|e| {
+                            eos::theta_m_factor(o_qv.extract(e), o_qc.extract(e), o_qr.extract(e))
+                        });
+                        th_row.set_lanes(lw, i, rho_star * o_th * fac_new);
+                        qv_row.set_lanes(lw, i, rho_star * o_qv);
+                        qc_row.set_lanes(lw, i, rho_star * o_qc);
+                        qr_row.set_lanes(lw, i, rho_star * o_qr);
+                    });
                 }
             }
         },
@@ -198,7 +157,7 @@ pub fn sediment<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("precipitation", g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, nx))
             .reading(reads_all(&[g2]))
             .writing(writes_all(&[rho, qr, precip])),
         ny as usize,
@@ -223,56 +182,33 @@ pub fn sediment<R: Real>(
                 let g_row = gv.row(j, 0);
                 {
                     let rho0_row = rhov.row(j, 0);
-                    let (mut i, i1) = (0, nx);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        while i + nl <= i1 {
-                            (rho0_row.lanes(i) / g_row.lanes(i))
-                                .store(&mut rho_sfc_row[i as usize..]);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        rho_sfc_row[i as usize] = rho0_row.at(i) / g_row.at(i);
-                    }
+                    numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                        (rho0_row.lanes(lw, i) / g_row.lanes(lw, i))
+                            .store(&mut rho_sfc_row[i as usize..]);
+                    });
                 }
                 for kc in 0..nz {
                     let k = kc as isize;
                     let rho_row = rhov.row(j, k);
                     let qr_row = qrv.row(j, k);
-                    let (mut i, i1) = (0, nx);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vzero = R::Lane::splat(R::ZERO);
-                        let vdz = R::Lane::splat(dz);
-                        let vdtr = R::Lane::splat(dtr);
-                        while i + nl <= i1 {
-                            let rho_phys = rho_row.lanes(i) / g_row.lanes(i);
-                            let qr_s = (qr_row.lanes(i) / rho_row.lanes(i)).max(vzero);
-                            let rho_sfc = R::Lane::load(&rho_sfc_row[i as usize..]);
-                            let vt = R::Lane::from_fn(|e| {
-                                kessler::terminal_velocity(
-                                    rho_phys.extract(e),
-                                    qr_s.extract(e),
-                                    rho_sfc.extract(e),
-                                )
-                            });
-                            let max_flux = qr_row.lanes(i) * vdz / vdtr;
-                            ((rho_phys * qr_s * vt).min(max_flux.max(vzero)))
-                                .store(&mut flux[kc * nxs + i as usize..]);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let gm = g_row.at(i);
-                        let rho_phys = rho_row.at(i) / gm;
-                        let qr_s = (qr_row.at(i) / rho_row.at(i)).max(R::ZERO);
-                        let vt =
-                            kessler::terminal_velocity(rho_phys, qr_s, rho_sfc_row[i as usize]);
-                        let max_flux = qr_row.at(i) * dz / dtr;
-                        flux[kc * nxs + i as usize] =
-                            (rho_phys * qr_s * vt).min(max_flux.max(R::ZERO));
-                    }
+                    numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                        let vzero = lw.splat(R::ZERO);
+                        let vdz = lw.splat(dz);
+                        let vdtr = lw.splat(dtr);
+                        let rho_phys = rho_row.lanes(lw, i) / g_row.lanes(lw, i);
+                        let qr_s = (qr_row.lanes(lw, i) / rho_row.lanes(lw, i)).max(vzero);
+                        let rho_sfc = lw.load(&rho_sfc_row[i as usize..]);
+                        let vt = lw.from_fn(|e| {
+                            kessler::terminal_velocity(
+                                rho_phys.extract(e),
+                                qr_s.extract(e),
+                                rho_sfc.extract(e),
+                            )
+                        });
+                        let max_flux = qr_row.lanes(lw, i) * vdz / vdtr;
+                        ((rho_phys * qr_s * vt).min(max_flux.max(vzero)))
+                            .store(&mut flux[kc * nxs + i as usize..]);
+                    });
                 }
                 for f in &mut flux[nz * nxs..] {
                     *f = R::ZERO;
@@ -280,57 +216,27 @@ pub fn sediment<R: Real>(
                 for kc in 0..nz {
                     let k = kc as isize;
                     let mut qr_row = qrv.row_mut(j, k);
-                    let (mut i, i1) = (0, nx);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vdtr = R::Lane::splat(dtr);
-                        let vinv_dz = R::Lane::splat(inv_dz);
-                        while i + nl <= i1 {
-                            let f_bottom = R::Lane::load(&flux[kc * nxs + i as usize..]);
-                            let f_top = R::Lane::load(&flux[(kc + 1) * nxs + i as usize..]);
-                            qr_row.add_lanes(i, vdtr * (f_top - f_bottom) * vinv_dz);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let f_bottom = flux[kc * nxs + i as usize];
-                        let f_top = flux[(kc + 1) * nxs + i as usize];
-                        let dq = dtr * (f_top - f_bottom) * inv_dz;
-                        qr_row.add(i, dq);
-                    }
+                    numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                        let vdtr = lw.splat(dtr);
+                        let vinv_dz = lw.splat(inv_dz);
+                        let f_bottom = lw.load(&flux[kc * nxs + i as usize..]);
+                        let f_top = lw.load(&flux[(kc + 1) * nxs + i as usize..]);
+                        qr_row.add_lanes(lw, i, vdtr * (f_top - f_bottom) * vinv_dz);
+                    });
                     let mut rho_row = rhov.row_mut(j, k);
-                    let (mut i, i1) = (0, nx);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vdtr = R::Lane::splat(dtr);
-                        let vinv_dz = R::Lane::splat(inv_dz);
-                        while i + nl <= i1 {
-                            let f_bottom = R::Lane::load(&flux[kc * nxs + i as usize..]);
-                            let f_top = R::Lane::load(&flux[(kc + 1) * nxs + i as usize..]);
-                            rho_row.add_lanes(i, vdtr * (f_top - f_bottom) * vinv_dz);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let f_bottom = flux[kc * nxs + i as usize];
-                        let f_top = flux[(kc + 1) * nxs + i as usize];
-                        let dq = dtr * (f_top - f_bottom) * inv_dz;
-                        rho_row.add(i, dq);
-                    }
+                    numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                        let vdtr = lw.splat(dtr);
+                        let vinv_dz = lw.splat(inv_dz);
+                        let f_bottom = lw.load(&flux[kc * nxs + i as usize..]);
+                        let f_top = lw.load(&flux[(kc + 1) * nxs + i as usize..]);
+                        rho_row.add_lanes(lw, i, vdtr * (f_top - f_bottom) * vinv_dz);
+                    });
                 }
                 let mut pr_row = prv.row_mut(j, 0);
-                let (mut i, i1) = (0, nx);
-                if lanes_on {
-                    let nl = LANES as isize;
-                    let vdtr = R::Lane::splat(dtr);
-                    while i + nl <= i1 {
-                        pr_row.add_lanes(i, vdtr * R::Lane::load(&flux[i as usize..]));
-                        i += nl;
-                    }
-                }
-                for i in i..i1 {
-                    pr_row.add(i, dtr * flux[i as usize]);
-                }
+                numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                    let vdtr = lw.splat(dtr);
+                    pr_row.add_lanes(lw, i, vdtr * lw.load(&flux[i as usize..]));
+                });
             }
         },
     )
@@ -376,7 +282,7 @@ pub fn rayleigh<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("rayleigh_sponge", g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, nx))
             .reading(reads_all(&[rho, th_b]))
             .writing(writes_all(&[w, th])),
         ny as usize,
@@ -396,20 +302,11 @@ pub fn rayleigh<R: Real>(
                     let dmp = damp_w[k];
                     if dmp < R::ONE {
                         let mut w_row = wv.row_mut(j, k as isize);
-                        let (mut i, i1) = (0, nx);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vdmp = R::Lane::splat(dmp);
-                            while i + nl <= i1 {
-                                let v = w_row.lanes(i) * vdmp;
-                                w_row.set_lanes(i, v);
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            let v = w_row.at(i) * dmp;
-                            w_row.set(i, v);
-                        }
+                        numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                            let vdmp = lw.splat(dmp);
+                            let v = w_row.lanes(lw, i) * vdmp;
+                            w_row.set_lanes(lw, i, v);
+                        });
                     }
                 }
                 #[allow(clippy::needless_range_loop)]
@@ -420,22 +317,12 @@ pub fn rayleigh<R: Real>(
                         let rho_row = rhov.row(j, kk);
                         let thb_row = thbv.row(j, kk);
                         let mut th_row = thv.row_mut(j, kk);
-                        let (mut i, i1) = (0, nx);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vdmp = R::Lane::splat(dmp);
-                            while i + nl <= i1 {
-                                let th_eq = rho_row.lanes(i) * thb_row.lanes(i);
-                                let v = th_eq + (th_row.lanes(i) - th_eq) * vdmp;
-                                th_row.set_lanes(i, v);
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            let th_eq = rho_row.at(i) * thb_row.at(i);
-                            let v = th_eq + (th_row.at(i) - th_eq) * dmp;
-                            th_row.set(i, v);
-                        }
+                        numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                            let vdmp = lw.splat(dmp);
+                            let th_eq = rho_row.lanes(lw, i) * thb_row.lanes(lw, i);
+                            let v = th_eq + (th_row.lanes(lw, i) - th_eq) * vdmp;
+                            th_row.set_lanes(lw, i, v);
+                        });
                     }
                 }
             }

@@ -23,6 +23,11 @@ impl Rect {
     }
 }
 
+/// Width in x of the widest rectangle (0 for none).
+pub fn widest(rects: &[Rect]) -> isize {
+    rects.iter().map(|r| r.i1 - r.i0).max().unwrap_or(0)
+}
+
 /// Which part of the subdomain a kernel launch covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {

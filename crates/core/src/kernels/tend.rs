@@ -3,13 +3,14 @@
 //! diffusion, and the tracer long-step update.
 
 use crate::geom::DeviceGeom;
-use crate::kernels::advection::lane_width;
 use crate::kernels::region::{
-    launch_cfg, launch_cfg_region, reads_all, reads_stencil, writes_all, writes_rects, KName,
-    Region,
+    launch_cfg, launch_cfg_region, reads_all, reads_stencil, widest, writes_all, writes_rects,
+    KName, Region,
 };
+use crate::kernels::walk_lanes;
 use crate::view::{Row, V3SlabMut, V3};
-use numerics::simd::{Lane, LANES};
+use numerics::simd::{Lane, Width};
+use numerics::Real;
 use vgpu::{Buf, Device, KernelCost, Launch, StreamId, VgpuError};
 
 numerics::simd_kernel! {
@@ -40,7 +41,7 @@ pub fn coriolis<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("coriolis", g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, nx))
             .reading(reads_all(&[u, v]))
             .writing(writes_all(&[fu, fv])),
         ny as usize,
@@ -62,29 +63,22 @@ pub fn coriolis<R: Real>(
                     let ujp1 = uv.row(j + 1, k);
                     let mut fu_row = fuv.row_mut(j, k);
                     let mut fv_row = fvv.row_mut(j, k);
-                    let (mut i, i1) = (0, nx);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vq = R::Lane::splat(quarter);
-                        let vf = R::Lane::splat(f);
-                        while i + nl <= i1 {
-                            let v_at_u =
-                                vq * (v0.lanes(i) + v0.lanes(i + 1) + vjm1.lanes(i) + vjm1.lanes(i + 1));
-                            fu_row.add_lanes(i, vf * v_at_u);
-                            let u_at_v =
-                                vq * (u0.lanes(i) + u0.lanes(i - 1) + ujp1.lanes(i) + ujp1.lanes(i - 1));
-                            fv_row.add_lanes(i, -vf * u_at_v);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let v_at_u =
-                            quarter * (v0.at(i) + v0.at(i + 1) + vjm1.at(i) + vjm1.at(i + 1));
-                        fu_row.add(i, f * v_at_u);
-                        let u_at_v =
-                            quarter * (u0.at(i) + u0.at(i - 1) + ujp1.at(i) + ujp1.at(i - 1));
-                        fv_row.add(i, -f * u_at_v);
-                    }
+                    numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                        let vq = lw.splat(quarter);
+                        let vf = lw.splat(f);
+                        let v_at_u = vq
+                            * (v0.lanes(lw, i)
+                                + v0.lanes(lw, i + 1)
+                                + vjm1.lanes(lw, i)
+                                + vjm1.lanes(lw, i + 1));
+                        fu_row.add_lanes(lw, i, vf * v_at_u);
+                        let u_at_v = vq
+                            * (u0.lanes(lw, i)
+                                + u0.lanes(lw, i - 1)
+                                + ujp1.lanes(lw, i)
+                                + ujp1.lanes(lw, i - 1));
+                        fv_row.add_lanes(lw, i, -vf * u_at_v);
+                    });
                 }
             }
         },
@@ -119,7 +113,7 @@ pub fn metric_pg<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("metric_pg", g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, nx))
             .reading(reads_all(&[p, sx2, sy2, zf]))
             .writing(writes_all(&[fu, fv])),
         ny as usize,
@@ -150,28 +144,24 @@ pub fn metric_pg<R: Real>(
                     let pjp_kp = pv.row(j + 1, kp);
                     let mut fu_row = fuv.row_mut(j, k);
                     let mut fv_row = fvv.row_mut(j, k);
-                    let (mut i, i1) = (0, nx);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vspan = R::Lane::splat(span);
-                        let vfac = R::Lane::splat(fac);
-                        let vhalf = R::Lane::splat(half);
-                        while i + nl <= i1 {
-                            let dpdz_i = (p_kp.lanes(i) - p_km.lanes(i)) / vspan;
-                            let dpdz_ip = (p_kp.lanes(i + 1) - p_km.lanes(i + 1)) / vspan;
-                            fu_row.add_lanes(i, sx_row.lanes(i) * vfac * vhalf * (dpdz_i + dpdz_ip));
-                            let dpdz_jp = (pjp_kp.lanes(i) - pjp_km.lanes(i)) / vspan;
-                            fv_row.add_lanes(i, sy_row.lanes(i) * vfac * vhalf * (dpdz_i + dpdz_jp));
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let dpdz_i = (p_kp.at(i) - p_km.at(i)) / span;
-                        let dpdz_ip = (p_kp.at(i + 1) - p_km.at(i + 1)) / span;
-                        fu_row.add(i, sx_row.at(i) * fac * half * (dpdz_i + dpdz_ip));
-                        let dpdz_jp = (pjp_kp.at(i) - pjp_km.at(i)) / span;
-                        fv_row.add(i, sy_row.at(i) * fac * half * (dpdz_i + dpdz_jp));
-                    }
+                    numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                        let vspan = lw.splat(span);
+                        let vfac = lw.splat(fac);
+                        let vhalf = lw.splat(half);
+                        let dpdz_i = (p_kp.lanes(lw, i) - p_km.lanes(lw, i)) / vspan;
+                        let dpdz_ip = (p_kp.lanes(lw, i + 1) - p_km.lanes(lw, i + 1)) / vspan;
+                        fu_row.add_lanes(
+                            lw,
+                            i,
+                            sx_row.lanes(lw, i) * vfac * vhalf * (dpdz_i + dpdz_ip),
+                        );
+                        let dpdz_jp = (pjp_kp.lanes(lw, i) - pjp_km.lanes(lw, i)) / vspan;
+                        fv_row.add_lanes(
+                            lw,
+                            i,
+                            sy_row.lanes(lw, i) * vfac * vhalf * (dpdz_i + dpdz_jp),
+                        );
+                    });
                 }
             }
         },
@@ -206,7 +196,7 @@ pub fn add_div_lin_theta<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("div_lin_theta", g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, nx))
             .reading(reads_all(&[u, v, w, th_c_b, th_w_b, g2]))
             .writing(writes_all(&[fth])),
         ny as usize,
@@ -245,41 +235,25 @@ pub fn add_div_lin_theta<R: Real>(
                     let thw_k = thw.row(j, k);
                     let thw_kp = thw.row(j, k + 1);
                     let mut f_row = fv.row_mut(j, k);
-                    let (mut i, i1) = (0, nx);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vh = R::Lane::splat(half);
-                        let vdx = R::Lane::splat(inv_dx);
-                        let vdy = R::Lane::splat(inv_dy);
-                        let vdz = R::Lane::splat(inv_dz);
-                        while i + nl <= i1 {
-                            let thc_c = thc0.lanes(i);
-                            let thu_p = vh * (thc_c + thc0.lanes(i + 1));
-                            let thu_m = vh * (thc0.lanes(i - 1) + thc_c);
-                            let thv_p = vh * (thc_c + thcjp1.lanes(i));
-                            let thv_m = vh * (thcjm1.lanes(i) + thc_c);
-                            let inv_g = R::Lane::load(&inv_g_row[i as usize..]);
-                            let d = (thu_p * u0.lanes(i) - thu_m * u0.lanes(i - 1)) * vdx
-                                + (thv_p * v0.lanes(i) - thv_m * vjm1.lanes(i)) * vdy
-                                + (thw_kp.lanes(i) * w_kp.lanes(i) - thw_k.lanes(i) * w_k.lanes(i))
-                                    * inv_g
-                                    * vdz;
-                            f_row.add_lanes(i, d);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let thu_p = half * (thc0.at(i) + thc0.at(i + 1));
-                        let thu_m = half * (thc0.at(i - 1) + thc0.at(i));
-                        let thv_p = half * (thc0.at(i) + thcjp1.at(i));
-                        let thv_m = half * (thcjm1.at(i) + thc0.at(i));
-                        let d = (thu_p * u0.at(i) - thu_m * u0.at(i - 1)) * inv_dx
-                            + (thv_p * v0.at(i) - thv_m * vjm1.at(i)) * inv_dy
-                            + (thw_kp.at(i) * w_kp.at(i) - thw_k.at(i) * w_k.at(i))
-                                * inv_g_row[i as usize]
-                                * inv_dz;
-                        f_row.add(i, d);
-                    }
+                    numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                        let vh = lw.splat(half);
+                        let vdx = lw.splat(inv_dx);
+                        let vdy = lw.splat(inv_dy);
+                        let vdz = lw.splat(inv_dz);
+                        let thc_c = thc0.lanes(lw, i);
+                        let thu_p = vh * (thc_c + thc0.lanes(lw, i + 1));
+                        let thu_m = vh * (thc0.lanes(lw, i - 1) + thc_c);
+                        let thv_p = vh * (thc_c + thcjp1.lanes(lw, i));
+                        let thv_m = vh * (thcjm1.lanes(lw, i) + thc_c);
+                        let inv_g = lw.load(&inv_g_row[i as usize..]);
+                        let d = (thu_p * u0.lanes(lw, i) - thu_m * u0.lanes(lw, i - 1)) * vdx
+                            + (thv_p * v0.lanes(lw, i) - thv_m * vjm1.lanes(lw, i)) * vdy
+                            + (thw_kp.lanes(lw, i) * w_kp.lanes(lw, i)
+                                - thw_k.lanes(lw, i) * w_k.lanes(lw, i))
+                                * inv_g
+                                * vdz;
+                        f_row.add_lanes(lw, i, d);
+                    });
                 }
             }
         },
@@ -317,7 +291,7 @@ pub fn continuity_residual<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("continuity_residual", g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, nx))
             .reading(reads_all(&[u, v, w, mw, g2]))
             .writing(writes_all(&[frho])),
         ny as usize,
@@ -350,36 +324,37 @@ pub fn continuity_residual<R: Real>(
                     let mw_k = mwv.row(j, k);
                     let mw_kp = mwv.row(j, k + 1);
                     let mut f_row = fv.row_mut(j, k);
-                    let (mut i, i1) = (0, nx);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vdx = R::Lane::splat(inv_dx);
-                        let vdy = R::Lane::splat(inv_dy);
-                        let vdz = R::Lane::splat(inv_dz);
-                        while i + nl <= i1 {
-                            let dh = (u0.lanes(i) - u0.lanes(i - 1)) * vdx
-                                + (v0.lanes(i) - vjm1.lanes(i)) * vdy;
-                            let full = dh + (mw_kp.lanes(i) - mw_k.lanes(i)) * vdz;
-                            let inv_g = R::Lane::load(&inv_g_row[i as usize..]);
-                            let lin = dh + (w_kp.lanes(i) - w_k.lanes(i)) * inv_g * vdz;
-                            f_row.add_lanes(i, -full);
-                            f_row.add_lanes(i, lin);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let dh =
-                            (u0.at(i) - u0.at(i - 1)) * inv_dx + (v0.at(i) - vjm1.at(i)) * inv_dy;
-                        let full = dh + (mw_kp.at(i) - mw_k.at(i)) * inv_dz;
-                        let lin = dh + (w_kp.at(i) - w_k.at(i)) * inv_g_row[i as usize] * inv_dz;
-                        f_row.add(i, -full);
-                        f_row.add(i, lin);
-                    }
+                    numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                        let vdx = lw.splat(inv_dx);
+                        let vdy = lw.splat(inv_dy);
+                        let vdz = lw.splat(inv_dz);
+                        let dh = (u0.lanes(lw, i) - u0.lanes(lw, i - 1)) * vdx
+                            + (v0.lanes(lw, i) - vjm1.lanes(lw, i)) * vdy;
+                        let full = dh + (mw_kp.lanes(lw, i) - mw_k.lanes(lw, i)) * vdz;
+                        let inv_g = lw.load(&inv_g_row[i as usize..]);
+                        let lin = dh + (w_kp.lanes(lw, i) - w_k.lanes(lw, i)) * inv_g * vdz;
+                        f_row.add_lanes(lw, i, -full);
+                        f_row.add_lanes(lw, i, lin);
+                    });
                 }
             }
         },
     )
 }
+}
+
+/// A diffusion stencil tap at width `lw`: the spec row minus, when
+/// diffusing a deviation, the reference row.
+#[inline(always)]
+fn tap<R: Real, L: Lane<R>>(
+    rows: &(Row<'_, R>, Option<Row<'_, R>>),
+    lw: Width<R, L>,
+    i: isize,
+) -> L {
+    match &rows.1 {
+        Some(rf) => rows.0.lanes(lw, i) - rf.lanes(lw, i),
+        None => rows.0.lanes(lw, i),
+    }
 }
 
 /// Which ρ* weight a diffusion kernel applies.
@@ -433,7 +408,7 @@ pub fn diffuse<R: Real>(
     dev.launch_par(
         stream,
         Launch::new(name, g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, nx))
             .reading(reads_all(&[spec, rho]))
             .reading(sub_ref.iter().map(|r| r.access()))
             .writing(writes_all(&[out])),
@@ -456,18 +431,6 @@ pub fn diffuse<R: Real>(
                     refv.as_ref().map(|rf| rf.row(jj, kk.clamp(0, nz - 1))),
                 )
             };
-            let tap = |rows: &(Row<'_, R>, Option<Row<'_, R>>), i: isize| -> R {
-                match &rows.1 {
-                    Some(rf) => rows.0.at(i) - rf.at(i),
-                    None => rows.0.at(i),
-                }
-            };
-            let tap_lanes = |rows: &(Row<'_, R>, Option<Row<'_, R>>), i: isize| -> R::Lane {
-                match &rows.1 {
-                    Some(rf) => rows.0.lanes(i) - rf.lanes(i),
-                    None => rows.0.lanes(i),
-                }
-            };
             for j in sj0..sj1 {
                 for k in klo..khi {
                     let c_rows = tap_rows(j, k);
@@ -481,48 +444,27 @@ pub fn diffuse<R: Real>(
                         DiffWeight::W => (rv.row(j, (k - 1).max(0)), rv.row(j, k.min(nz - 1))),
                     };
                     let mut o_row = ov.row_mut(j, k);
-                    let (mut i, i1) = (0, nx);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vdx2 = R::Lane::splat(inv_dx2);
-                        let vdy2 = R::Lane::splat(inv_dy2);
-                        let vdz2 = R::Lane::splat(inv_dz2);
-                        let vtwo = R::Lane::splat(R::TWO);
-                        let vkd = R::Lane::splat(kd);
-                        let vhalf = R::Lane::splat(half);
-                        while i + nl <= i1 {
-                            let c = tap_lanes(&c_rows, i);
-                            let lap = (tap_lanes(&c_rows, i - 1) - vtwo * c
-                                + tap_lanes(&c_rows, i + 1))
-                                * vdx2
-                                + (tap_lanes(&ym_rows, i) - vtwo * c + tap_lanes(&yp_rows, i))
-                                    * vdy2
-                                + (tap_lanes(&zm_rows, i) - vtwo * c + tap_lanes(&zp_rows, i))
-                                    * vdz2;
-                            let w = match weight {
-                                DiffWeight::Center => wa.lanes(i),
-                                DiffWeight::U => vhalf * (wa.lanes(i) + wa.lanes(i + 1)),
-                                DiffWeight::V | DiffWeight::W => {
-                                    vhalf * (wa.lanes(i) + wb.lanes(i))
-                                }
-                            };
-                            o_row.add_lanes(i, vkd * w * lap);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let c = tap(&c_rows, i);
-                        let lap = (tap(&c_rows, i - 1) - R::TWO * c + tap(&c_rows, i + 1))
-                            * inv_dx2
-                            + (tap(&ym_rows, i) - R::TWO * c + tap(&yp_rows, i)) * inv_dy2
-                            + (tap(&zm_rows, i) - R::TWO * c + tap(&zp_rows, i)) * inv_dz2;
+                    numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
+                        let vdx2 = lw.splat(inv_dx2);
+                        let vdy2 = lw.splat(inv_dy2);
+                        let vdz2 = lw.splat(inv_dz2);
+                        let vtwo = lw.splat(R::TWO);
+                        let vkd = lw.splat(kd);
+                        let vhalf = lw.splat(half);
+                        let c = tap(&c_rows, lw, i);
+                        let lap = (tap(&c_rows, lw, i - 1) - vtwo * c + tap(&c_rows, lw, i + 1))
+                            * vdx2
+                            + (tap(&ym_rows, lw, i) - vtwo * c + tap(&yp_rows, lw, i)) * vdy2
+                            + (tap(&zm_rows, lw, i) - vtwo * c + tap(&zp_rows, lw, i)) * vdz2;
                         let w = match weight {
-                            DiffWeight::Center => wa.at(i),
-                            DiffWeight::U => half * (wa.at(i) + wa.at(i + 1)),
-                            DiffWeight::V | DiffWeight::W => half * (wa.at(i) + wb.at(i)),
+                            DiffWeight::Center => wa.lanes(lw, i),
+                            DiffWeight::U => vhalf * (wa.lanes(lw, i) + wa.lanes(lw, i + 1)),
+                            DiffWeight::V | DiffWeight::W => {
+                                vhalf * (wa.lanes(lw, i) + wb.lanes(lw, i))
+                            }
                         };
-                        o_row.add(i, kd * w * lap);
-                    }
+                        o_row.add_lanes(lw, i, vkd * w * lap);
+                    });
                 }
             }
         },
@@ -560,7 +502,7 @@ pub fn tracer_update<R: Real>(
     dev.launch_par(
         stream,
         Launch::new(kn.get(region), gd, bd, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
             .reading(reads_stencil(&dc, &rects, &[q_t, fq]))
             .writing(writes_rects(&dc, &rects, &[q])),
         ny,
@@ -578,21 +520,12 @@ pub fn tracer_update<R: Real>(
                         let t_row = tv.row(j, k);
                         let f_row = fv.row(j, k);
                         let mut q_row = qv.row_mut(j, k);
-                        let (mut i, i1) = (r.i0, r.i1);
-                        if lanes_on {
-                            let nl = LANES as isize;
-                            let vdt = R::Lane::splat(dt);
-                            let vzero = R::Lane::splat(R::ZERO);
-                            while i + nl <= i1 {
-                                let v = t_row.lanes(i) + vdt * f_row.lanes(i);
-                                q_row.set_lanes(i, v.max(vzero));
-                                i += nl;
-                            }
-                        }
-                        for i in i..i1 {
-                            let v = t_row.at(i) + dt * f_row.at(i);
-                            q_row.set(i, v.max(R::ZERO));
-                        }
+                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+                            let vdt = lw.splat(dt);
+                            let vzero = lw.splat(R::ZERO);
+                            let v = t_row.lanes(lw, i) + vdt * f_row.lanes(lw, i);
+                            q_row.set_lanes(lw, i, v.max(vzero));
+                        });
                     }
                 }
             }

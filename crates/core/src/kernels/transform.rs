@@ -8,10 +8,9 @@
 //! the contravariant vertical mass flux.
 
 use crate::geom::DeviceGeom;
-use crate::kernels::advection::lane_width;
 use crate::kernels::region::{launch_cfg, reads_all, writes_all};
+use crate::kernels::walk_lanes;
 use crate::view::{V3SlabMut, V3};
-use numerics::simd::{Lane, LANES};
 use numerics::Real;
 use vgpu::{Buf, Device, KernelCost, Launch, StreamId, VgpuError};
 
@@ -35,7 +34,7 @@ pub fn specific_center<R: Real>(
     dev.launch_par(
         stream,
         Launch::new(name, g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, dc.px() as isize))
             .reading(reads_all(&[q, rho]))
             .writing(writes_all(&[spec])),
         dc.py(),
@@ -53,17 +52,9 @@ pub fn specific_center<R: Real>(
                     let q_row = qv.row(j, k);
                     let r_row = rv.row(j, k);
                     let mut s_row = sv.row_mut(j, k);
-                    let (mut i, i1) = (-h, dc.nx as isize + h);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        while i + nl <= i1 {
-                            s_row.set_lanes(i, q_row.lanes(i) / r_row.lanes(i));
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        s_row.set(i, q_row.at(i) / r_row.at(i));
-                    }
+                    numerics::x_walk!(R, lanes_on, -h..dc.nx as isize + h, |lw, i| {
+                        s_row.set_lanes(lw, i, q_row.lanes(lw, i) / r_row.lanes(lw, i));
+                    });
                 }
             }
         },
@@ -90,7 +81,7 @@ pub fn specific_u<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("spec_u", g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, dc.px() as isize - 1))
             .reading(reads_all(&[u, rho]))
             .writing(writes_all(&[spec])),
         dc.py(),
@@ -108,20 +99,11 @@ pub fn specific_u<R: Real>(
                     let u_row = uv.row(j, k);
                     let r_row = rv.row(j, k);
                     let mut s_row = sv.row_mut(j, k);
-                    let (mut i, i1) = (-h, dc.nx as isize + h - 1);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vh = R::Lane::splat(half);
-                        while i + nl <= i1 {
-                            let r = vh * (r_row.lanes(i) + r_row.lanes(i + 1));
-                            s_row.set_lanes(i, u_row.lanes(i) / r);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let r = half * (r_row.at(i) + r_row.at(i + 1));
-                        s_row.set(i, u_row.at(i) / r);
-                    }
+                    numerics::x_walk!(R, lanes_on, -h..dc.nx as isize + h - 1, |lw, i| {
+                        let vh = lw.splat(half);
+                        let r = vh * (r_row.lanes(lw, i) + r_row.lanes(lw, i + 1));
+                        s_row.set_lanes(lw, i, u_row.lanes(lw, i) / r);
+                    });
                     let edge = s_row.at(dc.nx as isize + h - 2);
                     s_row.set(dc.nx as isize + h - 1, edge);
                 }
@@ -150,7 +132,7 @@ pub fn specific_v<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("spec_v", g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, dc.px() as isize))
             .reading(reads_all(&[v, rho]))
             .writing(writes_all(&[spec])),
         dc.py(),
@@ -174,20 +156,11 @@ pub fn specific_v<R: Real>(
                     let r_row = rv.row(js, k);
                     let rjp_row = rv.row(js + 1, k);
                     let mut s_row = sv.row_mut(j, k);
-                    let (mut i, i1) = (-h, dc.nx as isize + h);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vh = R::Lane::splat(half);
-                        while i + nl <= i1 {
-                            let r = vh * (r_row.lanes(i) + rjp_row.lanes(i));
-                            s_row.set_lanes(i, v_row.lanes(i) / r);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let r = half * (r_row.at(i) + rjp_row.at(i));
-                        s_row.set(i, v_row.at(i) / r);
-                    }
+                    numerics::x_walk!(R, lanes_on, -h..dc.nx as isize + h, |lw, i| {
+                        let vh = lw.splat(half);
+                        let r = vh * (r_row.lanes(lw, i) + rjp_row.lanes(lw, i));
+                        s_row.set_lanes(lw, i, v_row.lanes(lw, i) / r);
+                    });
                 }
             }
         },
@@ -215,7 +188,7 @@ pub fn specific_w<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("spec_w", g, b, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, dw.px() as isize))
             .reading(reads_all(&[w, rho]))
             .writing(writes_all(&[spec])),
         dw.py(),
@@ -236,20 +209,11 @@ pub fn specific_w<R: Real>(
                     let r_lo = rv.row(j, kc_lo);
                     let r_hi = rv.row(j, kc_hi);
                     let mut s_row = sv.row_mut(j, k);
-                    let (mut i, i1) = (-h, dw.nx as isize + h);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vh = R::Lane::splat(half);
-                        while i + nl <= i1 {
-                            let r = vh * (r_lo.lanes(i) + r_hi.lanes(i));
-                            s_row.set_lanes(i, w_row.lanes(i) / r);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let r = half * (r_lo.at(i) + r_hi.at(i));
-                        s_row.set(i, w_row.at(i) / r);
-                    }
+                    numerics::x_walk!(R, lanes_on, -h..dw.nx as isize + h, |lw, i| {
+                        let vh = lw.splat(half);
+                        let r = vh * (r_lo.lanes(lw, i) + r_hi.lanes(lw, i));
+                        s_row.set_lanes(lw, i, w_row.lanes(lw, i) / r);
+                    });
                 }
             }
         },
@@ -288,7 +252,7 @@ pub fn mass_flux_w<R: Real>(
     dev.launch_par(
         stream,
         Launch::new("mass_flux_w", gd, bd, cost)
-            .with_lanes(lane_width(lanes_on))
+            .with_lanes(walk_lanes::<R>(lanes_on, dc.nx as isize + 2))
             .reading(reads_all(&[u, v, w, g2, gu2, gv2, zf]))
             .writing(writes_all(&[mw])),
         span,
@@ -345,59 +309,32 @@ pub fn mass_flux_w<R: Real>(
                     let fac_lo = zf_r[(k - 1) as usize];
                     let fac_hi = zf_r[k as usize];
                     let mut mw_row = mwv.row_mut(j, k);
-                    let (mut i, i1) = (-1, dc.nx as isize + 1);
-                    if lanes_on {
-                        let nl = LANES as isize;
-                        let vh = R::Lane::splat(half);
-                        let vzero = R::Lane::splat(R::ZERO);
-                        let vfac_lo = R::Lane::splat(fac_lo);
-                        let vfac_hi = R::Lane::splat(fac_hi);
-                        while i + nl <= i1 {
-                            let wk = w_row.lanes(i);
-                            let cross = if flat {
-                                vzero
-                            } else {
-                                let ux = |u_row: &crate::view::Row<'_, R>, fac: R::Lane| {
-                                    vh * (u_row.lanes(i - 1) * sx_row.lanes(i - 1) * fac
-                                        + u_row.lanes(i) * sx_row.lanes(i) * fac)
-                                };
-                                let vy = |vm_row: &crate::view::Row<'_, R>,
-                                          v0_row: &crate::view::Row<'_, R>,
-                                          fac: R::Lane| {
-                                    vh * (vm_row.lanes(i) * sy_jm1.lanes(i) * fac
-                                        + v0_row.lanes(i) * sy_0.lanes(i) * fac)
-                                };
-                                vh * (ux(&u_km1, vfac_lo) + ux(&u_k, vfac_hi))
-                                    + vh * (vy(&v_jm1_km1, &v_0_km1, vfac_lo)
-                                        + vy(&v_jm1_k, &v_0_k, vfac_hi))
-                            };
-                            let inv_g = R::Lane::load(&inv_g_row[(i + 1) as usize..]);
-                            mw_row.set_lanes(i, (wk - cross) * inv_g);
-                            i += nl;
-                        }
-                    }
-                    for i in i..i1 {
-                        let wk = w_row.at(i);
+                    numerics::x_walk!(R, lanes_on, -1..dc.nx as isize + 1, |lw, i| {
+                        let vh = lw.splat(half);
+                        let vzero = lw.splat(R::ZERO);
+                        let vfac_lo = lw.splat(fac_lo);
+                        let vfac_hi = lw.splat(fac_hi);
+                        let wk = w_row.lanes(lw, i);
                         let cross = if flat {
-                            R::ZERO
+                            vzero
                         } else {
-                            let ux = |u_row: &crate::view::Row<'_, R>, fac: R| {
-                                half * (u_row.at(i - 1) * sx_row.at(i - 1) * fac
-                                    + u_row.at(i) * sx_row.at(i) * fac)
+                            let ux = |u_row: &crate::view::Row<'_, R>, fac| {
+                                vh * (u_row.lanes(lw, i - 1) * sx_row.lanes(lw, i - 1) * fac
+                                    + u_row.lanes(lw, i) * sx_row.lanes(lw, i) * fac)
                             };
                             let vy = |vm_row: &crate::view::Row<'_, R>,
                                       v0_row: &crate::view::Row<'_, R>,
-                                      fac: R| {
-                                half * (vm_row.at(i) * sy_jm1.at(i) * fac
-                                    + v0_row.at(i) * sy_0.at(i) * fac)
+                                      fac| {
+                                vh * (vm_row.lanes(lw, i) * sy_jm1.lanes(lw, i) * fac
+                                    + v0_row.lanes(lw, i) * sy_0.lanes(lw, i) * fac)
                             };
-                            half * (ux(&u_km1, fac_lo) + ux(&u_k, fac_hi))
-                                + half
-                                    * (vy(&v_jm1_km1, &v_0_km1, fac_lo)
-                                        + vy(&v_jm1_k, &v_0_k, fac_hi))
+                            vh * (ux(&u_km1, vfac_lo) + ux(&u_k, vfac_hi))
+                                + vh * (vy(&v_jm1_km1, &v_0_km1, vfac_lo)
+                                    + vy(&v_jm1_k, &v_0_k, vfac_hi))
                         };
-                        mw_row.set(i, (wk - cross) * inv_g_row[(i + 1) as usize]);
-                    }
+                        let inv_g = lw.load(&inv_g_row[(i + 1) as usize..]);
+                        mw_row.set_lanes(lw, i, (wk - cross) * inv_g);
+                    });
                 }
             }
         },

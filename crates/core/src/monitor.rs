@@ -4,14 +4,14 @@
 //! steps later.
 //!
 //! The scan is one slab-parallel kernel over the interior: each y-row
-//! accumulates (a) a lane-wise *poison* sum — every element is
-//! multiplied by zero first, so any NaN/Inf collapses the row sum to
-//! non-finite without overflow false-positives — and (b) the row's
-//! maximum advective Courant number, both using the same
-//! [`numerics::simd`] lanes as the production kernels. Only rows whose
-//! poison sum trips pay for a scalar rescan to locate the first
-//! offending point. The per-row results land in a tiny stats buffer
-//! (`4 ny` elements) that the host reduces after a D2H copy.
+//! accumulates (a) a *poison* sum — every element is multiplied by zero
+//! first, so any NaN/Inf collapses the row sum to non-finite without
+//! overflow false-positives — and (b) the row's maximum advective
+//! Courant number, both on the same [`numerics::x_walk!`] as the
+//! production kernels. Only rows whose poison sum trips pay for a
+//! scalar rescan to locate the first offending point. The per-row
+//! results land in a tiny stats buffer (`4 ny` elements) that the host
+//! reduces after a D2H copy.
 //!
 //! In [`ExecMode::Phantom`] the kernel and the copy are accounted on
 //! the simulated timeline but there is no data to judge, so the check
@@ -82,6 +82,7 @@ impl<R: Real> GuardRails<R> {
         let cx = R::from_f64(dt / dx);
         let cy = R::from_f64(dt / dy);
         let cz = R::from_f64(dt / dzeta);
+        let lanes_on = dev.simd_enabled();
         dev.launch_par(StreamId::DEFAULT, launch, ny, move |mem, j0, j1| {
             let (brho, bu, bv, bw, bth) = (
                 mem.read(rho),
@@ -96,14 +97,12 @@ impl<R: Real> GuardRails<R> {
             let vw = V3::new(&bw, dw);
             let vth = V3::new(&bth, dc);
             let mut out = mem.write_slab(stats, j0 * STRIDE..j1 * STRIDE);
-            let zero = R::Lane::splat(R::ZERO);
-            let (lcx, lcy, lcz) = (R::Lane::splat(cx), R::Lane::splat(cy), R::Lane::splat(cz));
             for j in j0..j1 {
                 let jj = j as isize;
-                let mut poison = zero;
-                let mut cmax = zero;
-                let mut tail_poison = R::ZERO;
-                let mut tail_cmax = R::ZERO;
+                // Per-lane accumulators (a width-1 pass uses slot 0),
+                // reduced once per row.
+                let mut hp = [R::ZERO; LANES];
+                let mut hc = [R::ZERO; LANES];
                 for k in 0..nz as isize {
                     let (rr, ru, rv, rw, rt) = (
                         vrho.row(jj, k),
@@ -112,49 +111,34 @@ impl<R: Real> GuardRails<R> {
                         vw.row(jj, k),
                         vth.row(jj, k),
                     );
-                    let mut i = 0usize;
-                    while i + LANES <= nx {
-                        let ii = i as isize;
-                        let (lr, lu, lv, lw, lt) = (
-                            rr.lanes(ii),
-                            ru.lanes(ii),
-                            rv.lanes(ii),
-                            rw.lanes(ii),
-                            rt.lanes(ii),
+                    numerics::x_walk!(R, lanes_on, 0..nx as isize, |lw, i| {
+                        let (xr, xu, xv, xw, xt) = (
+                            rr.lanes(lw, i),
+                            ru.lanes(lw, i),
+                            rv.lanes(lw, i),
+                            rw.lanes(lw, i),
+                            rt.lanes(lw, i),
                         );
-                        poison = poison + lr * zero + lu * zero + lv * zero + lw * zero + lt * zero;
-                        let cu =
-                            (lu / lr).abs() * lcx + (lv / lr).abs() * lcy + (lw / lr).abs() * lcz;
-                        cmax = cmax.max(cu);
-                        i += LANES;
-                    }
-                    while i < nx {
-                        let ii = i as isize;
-                        let (sr, su, sv, sw, st) =
-                            (rr.at(ii), ru.at(ii), rv.at(ii), rw.at(ii), rt.at(ii));
-                        tail_poison += sr * R::ZERO
-                            + su * R::ZERO
-                            + sv * R::ZERO
-                            + sw * R::ZERO
-                            + st * R::ZERO;
-                        let cu = (su / sr).abs() * cx + (sv / sr).abs() * cy + (sw / sr).abs() * cz;
-                        tail_cmax = tail_cmax.max(cu);
-                        i += 1;
-                    }
+                        let zero = lw.splat(R::ZERO);
+                        let poison = xr * zero + xu * zero + xv * zero + xw * zero + xt * zero;
+                        let cu = (xu / xr).abs() * lw.splat(cx)
+                            + (xv / xr).abs() * lw.splat(cy)
+                            + (xw / xr).abs() * lw.splat(cz);
+                        for e in 0..lw.n() {
+                            hp[e] += poison.extract(e);
+                            hc[e] = hc[e].max(cu.extract(e));
+                        }
+                    });
                     // w's top level (nz) is not visited by the center
                     // loop; fold it into the poison sum scalar-wise.
                     let rwt = vw.row(jj, nz as isize);
                     for i in 0..nx as isize {
-                        tail_poison += rwt.at(i) * R::ZERO;
+                        hp[0] += rwt.at(i) * R::ZERO;
                     }
                 }
-                let mut hp = tail_poison;
-                let mut hc = tail_cmax;
-                for l in 0..LANES {
-                    hp += poison.extract(l);
-                    hc = hc.max(cmax.extract(l));
-                }
                 let (mut code, mut fi, mut fk) = (0usize, 0usize, 0usize);
+                let hp: R = hp.into_iter().sum();
+                let hc = hc.into_iter().fold(R::ZERO, R::max);
                 if !hp.is_finite() {
                     // Locate the first bad point: field-major, then k, i.
                     let views: [(&V3<'_, R>, usize); 5] =

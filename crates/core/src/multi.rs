@@ -59,13 +59,13 @@ pub struct MultiGpuConfig {
 pub struct MultiGpuReport {
     pub ranks: usize,
     pub steps: usize,
-    /// End-to-end simulated wall time (max over ranks) [s].
+    /// End-to-end simulated wall time (max over ranks) \[s\].
     pub total_time_s: f64,
-    /// Kernel-busy time of the slowest rank [s].
+    /// Kernel-busy time of the slowest rank \[s\].
     pub compute_s: f64,
-    /// MPI blocked time of the slowest rank [s].
+    /// MPI blocked time of the slowest rank \[s\].
     pub mpi_s: f64,
-    /// GPU↔CPU transfer busy time of the slowest rank [s].
+    /// GPU↔CPU transfer busy time of the slowest rank \[s\].
     pub pcie_s: f64,
     /// Total floating-point operations over all ranks.
     pub total_flops: f64,

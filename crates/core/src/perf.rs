@@ -13,7 +13,7 @@ pub struct PerfSummary {
     pub elapsed_seconds: f64,
     /// Achieved GFlop/s against the elapsed time.
     pub gflops: f64,
-    /// Host↔device traffic [bytes].
+    /// Host↔device traffic \[bytes\].
     pub h2d_bytes: f64,
     pub d2h_bytes: f64,
     /// Number of kernel launches.

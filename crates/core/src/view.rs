@@ -6,7 +6,7 @@
 //! These views give kernels `at(i, j, k)` indexing over a flat device
 //! slice with that layout and a uniform halo.
 
-use numerics::simd::Lane;
+use numerics::simd::{Lane, Width};
 use numerics::Real;
 
 /// Shape of a device field: interior size plus halo width.
@@ -133,15 +133,16 @@ impl<'a, R: Real> Row<'a, R> {
         self.d[row_idx(i, self.h, self.d.len())]
     }
 
-    /// Lane load of `R::Lane::N` consecutive values starting at logical
-    /// `i` — one unaligned vector load off the contiguous padded row, so
-    /// a fixed-offset stencil tap (`lanes(i - 1)`) is the same single
-    /// load shifted by one element, exactly like the shifted coalesced
-    /// warp reads of the paper's §IV-A x-walk.
+    /// Lane load of `L::N` consecutive values starting at logical `i`,
+    /// at the pass width `lw` of an x-walk — one unaligned vector load
+    /// off the contiguous padded row, so a fixed-offset stencil tap
+    /// (`lanes(lw, i - 1)`) is the same single load shifted by one
+    /// element, exactly like the shifted coalesced warp reads of the
+    /// paper's §IV-A x-walk. At width 1 it is [`at`](Self::at).
     #[inline(always)]
-    pub fn lanes(&self, i: isize) -> R::Lane {
-        let idx = row_idx(i, self.h, self.d.len() + 1 - R::Lane::N);
-        R::Lane::load(&self.d[idx..])
+    pub fn lanes<L: Lane<R>>(&self, _w: Width<R, L>, i: isize) -> L {
+        let idx = row_idx(i, self.h, self.d.len() + 1 - L::N);
+        L::load(&self.d[idx..])
     }
 }
 
@@ -170,27 +171,27 @@ impl<'a, R: Real> RowMut<'a, R> {
         self.d[idx] += v;
     }
 
-    /// Lane load of `R::Lane::N` consecutive values starting at logical
-    /// `i` (see [`Row::lanes`]).
+    /// Lane load of `L::N` consecutive values starting at logical `i`
+    /// (see [`Row::lanes`]).
     #[inline(always)]
-    pub fn lanes(&self, i: isize) -> R::Lane {
-        let idx = row_idx(i, self.h, self.d.len() + 1 - R::Lane::N);
-        R::Lane::load(&self.d[idx..])
+    pub fn lanes<L: Lane<R>>(&self, _w: Width<R, L>, i: isize) -> L {
+        let idx = row_idx(i, self.h, self.d.len() + 1 - L::N);
+        L::load(&self.d[idx..])
     }
 
-    /// Lane store of `R::Lane::N` consecutive values starting at `i`.
+    /// Lane store of `L::N` consecutive values starting at `i`.
     #[inline(always)]
-    pub fn set_lanes(&mut self, i: isize, v: R::Lane) {
-        let idx = row_idx(i, self.h, self.d.len() + 1 - R::Lane::N);
+    pub fn set_lanes<L: Lane<R>>(&mut self, _w: Width<R, L>, i: isize, v: L) {
+        let idx = row_idx(i, self.h, self.d.len() + 1 - L::N);
         v.store(&mut self.d[idx..]);
     }
 
     /// Lane read-modify-write `+=`: each lane performs the identical
     /// scalar `+=` the element-wise [`add`](Self::add) would.
     #[inline(always)]
-    pub fn add_lanes(&mut self, i: isize, v: R::Lane) {
-        let idx = row_idx(i, self.h, self.d.len() + 1 - R::Lane::N);
-        let cur = R::Lane::load(&self.d[idx..]);
+    pub fn add_lanes<L: Lane<R>>(&mut self, _w: Width<R, L>, i: isize, v: L) {
+        let idx = row_idx(i, self.h, self.d.len() + 1 - L::N);
+        let cur = L::load(&self.d[idx..]);
         (cur + v).store(&mut self.d[idx..]);
     }
 }
@@ -494,7 +495,7 @@ mod tests {
 
     #[test]
     fn row_lane_taps_match_scalar_taps() {
-        use numerics::simd::{Lane, LANES};
+        use numerics::simd::{F64x4, LANES};
         let m = Dims::center(9, 3, 4, 2);
         let mut data = vec![0.0f64; m.len()];
         {
@@ -509,30 +510,33 @@ mod tests {
         }
         let v = V3::new(&data, m);
         let row = v.row(1, 2);
+        let (wide, one) = (Width::<f64, F64x4>::new(), Width::<f64, f64>::new());
         // A lane load at i with a fixed stencil offset must equal the
-        // four scalar taps at i-1..i+3 etc.
+        // four scalar taps at i-1..i+3 etc.; at width 1 it is the tap.
         for off in [-2isize, -1, 0, 1, 2] {
-            let lv = row.lanes(off);
+            let lv = row.lanes(wide, off);
             for l in 0..LANES {
                 assert_eq!(lv.extract(l), row.at(off + l as isize));
             }
+            assert_eq!(row.lanes(one, off), row.at(off));
         }
     }
 
     #[test]
     fn row_mut_lane_store_and_add_match_scalar() {
-        use numerics::simd::Lane;
+        use numerics::simd::F64x4;
         let m = Dims::center(6, 2, 2, 1);
         let mut a = vec![0.0f64; m.len()];
         let mut b = vec![0.0f64; m.len()];
-        let lane = <f64 as Real>::Lane::from_fn(|l| 1.5 + l as f64);
+        let w = Width::<f64, F64x4>::new();
+        let lane = w.from_fn(|l| 1.5 + l as f64);
         {
             let r = m.slab(0, 2);
             let mut s = V3SlabMut::new(&mut a[r], m, 0);
             let mut row = s.row_mut(1, 0);
-            row.set_lanes(1, lane);
-            row.add_lanes(0, lane);
-            assert_eq!(row.lanes(1).extract(0), row.at(1));
+            row.set_lanes(w, 1, lane);
+            row.add_lanes(w, 0, lane);
+            assert_eq!(row.lanes(w, 1).extract(0), row.at(1));
         }
         {
             let r = m.slab(0, 2);
@@ -575,7 +579,9 @@ mod tests {
         let v = V3::new(&data, m);
         // A 4-wide load starting at i=3 would touch i=6 — one past the
         // halo column i=4(+halo)=5.
-        let _ = v.row(0, 0).lanes(3);
+        let _ = v
+            .row(0, 0)
+            .lanes(Width::<f64, numerics::simd::F64x4>::new(), 3);
     }
 
     #[test]

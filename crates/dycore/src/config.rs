@@ -19,7 +19,7 @@ pub enum Terrain {
 /// Rayleigh sponge-layer configuration (absorbs gravity waves at the lid).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RayleighConfig {
-    /// Height above which damping ramps in [m].
+    /// Height above which damping ramps in \[m\].
     pub z_bottom: f64,
     /// Peak damping rate at the model top [s⁻¹].
     pub rate: f64,
@@ -54,7 +54,7 @@ pub struct FaultConfig {
     pub drop_rate: f64,
     /// Per-message probability of extra in-flight delay.
     pub delay_rate: f64,
-    /// The extra delay [s] when injected.
+    /// The extra delay \[s\] when injected.
     pub delay_s: f64,
     /// Fail allocations made after driver init with this probability
     /// (drivers degrade gracefully, e.g. drop detailed profiling).
@@ -67,7 +67,7 @@ pub struct FaultConfig {
     /// Kill `(rank, after-step)` once: the run must roll back to the
     /// last checkpoint and restart (requires `checkpoint_every > 0`).
     pub death: Option<(usize, u64)>,
-    /// Virtual-time cost of respawning a dead rank [s].
+    /// Virtual-time cost of respawning a dead rank \[s\].
     pub respawn_penalty_s: f64,
 }
 
@@ -110,12 +110,12 @@ pub struct ModelConfig {
     pub nx: usize,
     pub ny: usize,
     pub nz: usize,
-    /// Horizontal grid spacing [m].
+    /// Horizontal grid spacing \[m\].
     pub dx: f64,
     pub dy: f64,
-    /// Model-top height H [m] (uniform ζ levels, dζ = H / nz).
+    /// Model-top height H \[m\] (uniform ζ levels, dζ = H / nz).
     pub z_top: f64,
-    /// Long time step [s].
+    /// Long time step \[s\].
     pub dt: f64,
     /// Acoustic substeps per long step (stage 3 of RK3); stages 1 and 2
     /// use 1 and ⌈ns/2⌉ respectively, as in the time-split literature.
@@ -229,7 +229,7 @@ impl ModelConfig {
         }
     }
 
-    /// Vertical grid spacing dζ [m].
+    /// Vertical grid spacing dζ \[m\].
     pub fn dzeta(&self) -> f64 {
         self.z_top / self.nz as f64
     }

@@ -64,7 +64,7 @@ pub fn wind_speed_slice(grid: &Grid, s: &State, k: usize) -> Slice2D {
     }
 }
 
-/// Pressure at cell centers for level `k` [Pa].
+/// Pressure at cell centers for level `k` \[Pa\].
 pub fn pressure_slice(grid: &Grid, s: &State, k: usize) -> Slice2D {
     let mut data = vec![0.0; grid.nx * grid.ny];
     for j in 0..grid.ny {

@@ -14,7 +14,7 @@ use physics::base::BaseState;
 /// Summary statistics of one long step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepStats {
-    /// Simulation time after the step [s].
+    /// Simulation time after the step \[s\].
     pub time: f64,
     /// Maximum |specific w| [m/s].
     pub max_w: f64,

@@ -27,7 +27,7 @@ pub struct State {
     /// Qα = Gρqα per tracer (0: qv, 1: qc, 2: qr, 3..: ice-phase
     /// placeholders).
     pub q: Vec<Field3<f64>>,
-    /// Diagnostic pressure [Pa].
+    /// Diagnostic pressure \[Pa\].
     pub p: Field3<f64>,
     /// Accumulated surface precipitation [kg m⁻²] (diagnostic).
     pub precip: Field3<f64>,

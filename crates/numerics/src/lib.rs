@@ -15,9 +15,11 @@
 //!   vertical implicit problem of the HE-VI scheme (§IV-A.3).
 //! * [`par`] — lightweight slab-parallel iteration built on scoped threads
 //!   scoped threads.
-//! * [`simd`] — dependency-free 4-wide lanes ([`simd::F64x4`]) for the
-//!   kernel x-walks, bitwise identical to the scalar path by
-//!   construction (`ASUCA_SIMD` knob, runtime AVX2 detection).
+//! * [`simd`] — dependency-free 4-wide lanes ([`simd::F64x4`]), with
+//!   every scalar a lane of width 1, so each kernel x-walk body is
+//!   written once and run at both widths ([`x_walk!`]); bitwise
+//!   identical at either width by construction (`ASUCA_SIMD` knob,
+//!   runtime AVX2 detection).
 
 pub mod field;
 pub mod layout;

@@ -28,15 +28,17 @@ pub enum Limiter {
 }
 
 impl Limiter {
-    /// Evaluate φ(r).
+    /// Evaluate φ(r), lane-wise for a lane `L` (a scalar `R` is the
+    /// width-1 lane; max/min are element-wise `Real::max`/`min`, so each
+    /// lane is bitwise the scalar φ).
     #[inline(always)]
-    pub fn phi<R: Real>(self, r: R) -> R {
-        let zero = R::ZERO;
-        let one = R::ONE;
-        let two = R::TWO;
+    pub fn phi<R: Real, L: Lane<R>>(self, r: L) -> L {
+        let zero = L::splat(R::ZERO);
+        let one = L::splat(R::ONE);
+        let two = L::splat(R::TWO);
         match self {
             Limiter::Koren => {
-                let third = (one + two * r) / R::from_f64(3.0);
+                let third = (one + two * r) / L::splat(R::from_f64(3.0));
                 zero.max((two * r).min(third).min(two))
             }
             Limiter::Upwind1 => zero,
@@ -46,31 +48,7 @@ impl Limiter {
                 (r + ar) / (one + ar)
             }
             Limiter::Superbee => zero.max((two * r).min(one)).max(r.min(two)),
-            Limiter::UnlimitedKappaThird => (one + two * r) / R::from_f64(3.0),
-        }
-    }
-
-    /// Lane-wise φ(r): each lane runs the exact scalar [`phi`](Self::phi)
-    /// operation sequence (max/min are element-wise `Real::max`/`min`),
-    /// so the result is bitwise identical to evaluating φ per lane.
-    #[inline(always)]
-    pub fn phi_lanes<R: Real>(self, r: R::Lane) -> R::Lane {
-        let zero = R::Lane::splat(R::ZERO);
-        let one = R::Lane::splat(R::ONE);
-        let two = R::Lane::splat(R::TWO);
-        match self {
-            Limiter::Koren => {
-                let third = (one + two * r) / R::Lane::splat(R::from_f64(3.0));
-                zero.max((two * r).min(third).min(two))
-            }
-            Limiter::Upwind1 => zero,
-            Limiter::Minmod => zero.max(one.min(r)),
-            Limiter::VanLeer => {
-                let ar = r.abs();
-                (r + ar) / (one + ar)
-            }
-            Limiter::Superbee => zero.max((two * r).min(one)).max(r.min(two)),
-            Limiter::UnlimitedKappaThird => (one + two * r) / R::Lane::splat(R::from_f64(3.0)),
+            Limiter::UnlimitedKappaThird => (one + two * r) / L::splat(R::from_f64(3.0)),
         }
     }
 
@@ -105,61 +83,42 @@ impl Limiter {
 ///
 /// For `vel >= 0` across face i+1/2 call with
 /// `(q[i-1], q[i], q[i+1])`; for `vel < 0` call with `(q[i+2], q[i+1], q[i])`.
+/// Lane-wise for a lane `L`; the eps guard on the downwind gradient is
+/// two cheap eager selects.
 #[inline(always)]
-pub fn limited_face_value<R: Real>(lim: Limiter, qm1: R, q0: R, qp1: R) -> R {
+pub fn limited_face_value<R: Real, L: Lane<R>>(lim: Limiter, qm1: L, q0: L, qp1: L) -> L {
     let dq_dn = qp1 - q0; // downwind gradient
     let dq_up = q0 - qm1; // upwind gradient
                           // Ratio r = upwind / downwind gradient; guard the zero-gradient case.
-    let eps = R::from_f64(1e-30);
-    let denom = if dq_dn.abs() < eps {
-        if dq_dn >= R::ZERO {
-            eps
-        } else {
-            -eps
-        }
-    } else {
-        dq_dn
-    };
+    let zero = L::splat(R::ZERO);
+    let eps = L::splat(R::from_f64(1e-30));
+    let signed_eps = L::select_ge(dq_dn, zero, eps, -eps);
+    let denom = L::select_lt(dq_dn.abs(), eps, signed_eps, dq_dn);
     let r = dq_up / denom;
-    q0 + R::HALF * lim.phi(r) * dq_dn
+    q0 + L::splat(R::HALF) * lim.phi(r) * dq_dn
 }
 
 /// Upwind flux across a face with normal velocity `vel` (positive toward
 /// increasing index). `qm1, q0, qp1, qp2` are the four stencil cells in
 /// increasing-index order around the face between `q0` and `qp1`.
+/// Lane-wise for a lane `L`: the upwind choice is a lazy select, so a
+/// width-1 lane reconstructs only the upwind side. The sides are forced
+/// inline: an outlined side would be called up to six times per point
+/// and keep the limiter `match` inside the kernel loop.
 #[inline(always)]
-pub fn limited_flux<R: Real>(lim: Limiter, vel: R, qm1: R, q0: R, qp1: R, qp2: R) -> R {
-    if vel >= R::ZERO {
-        vel * limited_face_value(lim, qm1, q0, qp1)
-    } else {
-        vel * limited_face_value(lim, qp2, qp1, q0)
-    }
+pub fn limited_flux<R: Real, L: Lane<R>>(lim: Limiter, vel: L, qm1: L, q0: L, qp1: L, qp2: L) -> L {
+    L::select_ge_with(
+        vel,
+        L::splat(R::ZERO),
+        #[inline(always)]
+        || vel * limited_face_value(lim, qm1, q0, qp1),
+        #[inline(always)]
+        || vel * limited_face_value(lim, qp2, qp1, q0),
+    )
 }
 
-/// Lane-wise [`limited_face_value`]: the scalar's eps guard on the
-/// downwind gradient becomes two selects that pick exactly the value the
-/// scalar branches would have produced, so each lane is bitwise equal to
-/// the scalar reconstruction at that point.
-#[inline(always)]
-pub fn limited_face_value_lanes<R: Real>(
-    lim: Limiter,
-    qm1: R::Lane,
-    q0: R::Lane,
-    qp1: R::Lane,
-) -> R::Lane {
-    let dq_dn = qp1 - q0; // downwind gradient
-    let dq_up = q0 - qm1; // upwind gradient
-    let zero = R::Lane::splat(R::ZERO);
-    let eps = R::Lane::splat(R::from_f64(1e-30));
-    let signed_eps = R::Lane::select_ge(dq_dn, zero, eps, -eps);
-    let denom = R::Lane::select_lt(dq_dn.abs(), eps, signed_eps, dq_dn);
-    let r = dq_up / denom;
-    q0 + R::Lane::splat(R::HALF) * lim.phi_lanes::<R>(r) * dq_dn
-}
-
-/// Lane-wise [`limited_flux`]: both upwind reconstructions are computed
-/// and the `vel >= 0` select keeps the one the scalar branch would have
-/// taken (the discarded side is a pure value — no trap, no side effect).
+/// [`limited_flux`] at the wide lane `R::Lane`, for callers that name
+/// the lane through the precision (the `perfbench` limiter layer).
 #[inline(always)]
 pub fn limited_flux_lanes<R: Real>(
     lim: Limiter,
@@ -169,9 +128,7 @@ pub fn limited_flux_lanes<R: Real>(
     qp1: R::Lane,
     qp2: R::Lane,
 ) -> R::Lane {
-    let pos = vel * limited_face_value_lanes::<R>(lim, qm1, q0, qp1);
-    let neg = vel * limited_face_value_lanes::<R>(lim, qp2, qp1, q0);
-    R::Lane::select_ge(vel, R::Lane::splat(R::ZERO), pos, neg)
+    limited_flux(lim, vel, qm1, q0, qp1, qp2)
 }
 
 #[cfg(test)]
@@ -245,7 +202,7 @@ mod tests {
         let cases = [(0.0, 1.0, 4.0), (5.0, 2.0, 1.0), (-3.0, -1.0, 0.0)];
         for lim in Limiter::tvd_members() {
             for &(a, b, c) in &cases {
-                let v = limited_face_value::<f64>(lim, a, b, c);
+                let v = limited_face_value::<f64, f64>(lim, a, b, c);
                 let (lo, hi) = if b < c { (b, c) } else { (c, b) };
                 assert!(
                     v >= lo - 1e-14 && v <= hi + 1e-14,
@@ -265,12 +222,24 @@ mod tests {
         assert_eq!(f_neg, -18.0); // vel * qp1
     }
 
-    #[test]
-    fn lane_flux_bitwise_matches_scalar_flux() {
-        use crate::simd::{Lane, LANES};
-        // Sweep sign changes, zero gradients, extrema and both upwind
-        // directions; every lane must reproduce the scalar flux bits.
-        let q: Vec<f64> = (0..64)
+    const ALL: [Limiter; 6] = [
+        Limiter::Koren,
+        Limiter::Upwind1,
+        Limiter::Minmod,
+        Limiter::VanLeer,
+        Limiter::Superbee,
+        Limiter::UnlimitedKappaThird,
+    ];
+
+    /// Exact bits of a scalar of either precision.
+    fn bits<R: Real>(x: R) -> u64 {
+        x.to_f64().to_bits()
+    }
+
+    /// Sign changes, zero gradients, extrema and values inside the eps
+    /// guard.
+    fn stencil_data<R: Real>() -> Vec<R> {
+        (0..64)
             .map(|n| match n % 7 {
                 0 => 0.0,
                 1 => 1.0,
@@ -280,45 +249,42 @@ mod tests {
                 5 => -1.0,
                 _ => 3.25,
             })
-            .collect();
-        let vels = [2.0f64, -2.0, 0.0, -0.0, 1.0e-12];
-        for lim in [
-            Limiter::Koren,
-            Limiter::Upwind1,
-            Limiter::Minmod,
-            Limiter::VanLeer,
-            Limiter::Superbee,
-            Limiter::UnlimitedKappaThird,
-        ] {
+            .map(R::from_f64)
+            .collect()
+    }
+
+    /// φ, the face value and the flux at the wide lane `R::Lane`
+    /// reproduce the width-1 results lane by lane, to the last bit.
+    fn wide_matches_width_one<R: Real>() {
+        let q = stencil_data::<R>();
+        let vels = [2.0, -2.0, 0.0, -0.0, 1.0e-12].map(R::from_f64);
+        let n = <R::Lane as Lane<R>>::N;
+        for lim in ALL {
             for &vel in &vels {
-                let mut f = 0;
-                while f + LANES + 3 <= q.len() {
-                    let lv = <f64 as Real>::Lane::splat(vel);
-                    let qm1 = <f64 as Real>::Lane::load(&q[f..]);
-                    let q0 = <f64 as Real>::Lane::load(&q[f + 1..]);
-                    let qp1 = <f64 as Real>::Lane::load(&q[f + 2..]);
-                    let qp2 = <f64 as Real>::Lane::load(&q[f + 3..]);
-                    let lanes = limited_flux_lanes::<f64>(lim, lv, qm1, q0, qp1, qp2);
-                    for l in 0..LANES {
-                        let s = limited_flux(
-                            lim,
-                            vel,
-                            q[f + l],
-                            q[f + l + 1],
-                            q[f + l + 2],
-                            q[f + l + 3],
-                        );
-                        assert_eq!(
-                            lanes.extract(l).to_bits(),
-                            s.to_bits(),
-                            "{} lane {l} at face {f} vel {vel}",
-                            lim.name()
-                        );
+                for f in (0..q.len() - 3 - n).step_by(n) {
+                    let ld = |o: usize| R::Lane::load(&q[f + o..]);
+                    let flux = limited_flux(lim, R::Lane::splat(vel), ld(0), ld(1), ld(2), ld(3));
+                    let face = limited_face_value(lim, ld(0), ld(1), ld(2));
+                    let phi = lim.phi(ld(3) - ld(1));
+                    for l in 0..n {
+                        let (qm1, q0, qp1, qp2) =
+                            (q[f + l], q[f + l + 1], q[f + l + 2], q[f + l + 3]);
+                        let s = limited_flux(lim, vel, qm1, q0, qp1, qp2);
+                        let what = format!("{} lane {l} at face {f} vel {vel}", lim.name());
+                        assert_eq!(bits(flux.extract(l)), bits(s), "flux: {what}");
+                        let s = limited_face_value(lim, qm1, q0, qp1);
+                        assert_eq!(bits(face.extract(l)), bits(s), "face: {what}");
+                        assert_eq!(bits(phi.extract(l)), bits(lim.phi(qp2 - q0)), "phi: {what}");
                     }
-                    f += LANES;
                 }
             }
         }
+    }
+
+    #[test]
+    fn lane_flux_bitwise_matches_scalar_flux() {
+        wide_matches_width_one::<f64>();
+        wide_matches_width_one::<f32>();
     }
 
     #[test]

@@ -46,9 +46,9 @@ pub trait Real:
     const PRECISION: &'static str;
 
     /// The 4-wide SIMD lane type for this scalar (`F64x4` / `F32x4`);
-    /// every lane op is element-wise identical to the scalar op, so
-    /// vectorized kernels stay bitwise equal to their scalar form (see
-    /// [`crate::simd`]).
+    /// every lane op is element-wise identical to the scalar op, so a
+    /// kernel body run at this width is bitwise equal to the same body
+    /// run on the scalar itself, the width-1 lane (see [`crate::simd`]).
     type Lane: crate::simd::Lane<Self>;
 
     /// Lossy conversion from `f64` (exact for `f64`, rounded for `f32`).

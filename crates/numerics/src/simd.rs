@@ -5,67 +5,72 @@
 //! stencil tap (§IV-A). The host analog is a 4-wide lane walking the
 //! same contiguous padded x-row: one `F64x4` load per tap, four points
 //! retired per loop iteration. No external crates are used (the build is
-//! fully offline); everything here is `core::arch` + plain arrays.
+//! fully offline); everything here is plain arrays plus runtime feature
+//! detection from `std`.
+//!
+//! ## One body per kernel: scalars are width-1 lanes
+//!
+//! [`Lane`] is implemented by the 4-wide [`F64x4`] / [`F32x4`] *and* by
+//! every [`Real`] scalar itself, with `N = 1` and each op the scalar op.
+//! A per-point body is therefore written once, generic over
+//! `L: Lane<R>`, and run at both widths: [`x_walk!`](crate::x_walk)
+//! runs `R::Lane` while a whole lane fits in the row, then the same body
+//! at width 1 for the remainder (`ASUCA_SIMD=0` runs the whole row at
+//! width 1). Inside
+//! the walk the lane type is reached through a zero-sized [`Width`]
+//! token (`lw.splat(x)`, `lw.load(slice)`, `row.lanes(lw, i)`), because a
+//! block cannot name the type a macro chose for it.
 //!
 //! ## The bit-identity rule
 //!
 //! Every lane operation is defined **element-wise in terms of the exact
 //! scalar operation the kernels already use** (`+`, `*`, `Real::max`,
-//! `Real::mul_add`, …), and branches become lane selects that compute
-//! both sides and pick the value the scalar branch would have produced.
-//! Per-point operation order is therefore preserved lane-wise and the
-//! vectorized path is bitwise identical to the scalar path — asserted
-//! end-to-end by `tests/determinism.rs` (threads × `ASUCA_SIMD` matrix)
-//! and per-kernel by `benches/kernel_inner_loop.rs`.
+//! `Real::mul_add`, …), and branches become lane selects that pick the
+//! value the scalar branch would have produced. Per-point operation
+//! order is therefore preserved lane-wise and the 4-wide pass is bitwise
+//! identical to the width-1 pass — asserted end-to-end by
+//! `tests/determinism.rs` (threads × `ASUCA_SIMD` matrix, both
+//! precisions) and per-op by the tests below.
+//!
+//! ## Selects: eager or lazy
+//!
+//! [`Lane::select_ge`] / [`Lane::select_lt`] take both sides as values:
+//! use them when both sides are cheap (a constant, an operand). When a
+//! side is expensive — the two upwind reconstructions of
+//! [`limited_flux`](crate::limiter::limited_flux) — use
+//! [`Lane::select_ge_with`], which takes both sides as closures: a
+//! 4-wide lane evaluates both and selects, a width-1 lane branches and
+//! evaluates only the taken side, so the scalar walk pays for one side
+//! as a hand-written scalar branch would.
 //!
 //! ## How the lanes get wide
 //!
-//! Three mechanisms, all honoring the rule above:
+//! One mechanism: twin stamping ([`simd_kernel!`](crate::simd_kernel)).
+//! Each kernel entry point is expanded twice — a portable build and an
+//! AVX2+FMA `#[target_feature]` twin — with a tiny runtime dispatcher.
+//! *Closures defined inside a `#[target_feature]` function inherit its
+//! features*, so the `launch`/`launch_par` kernel bodies stamped into
+//! the twin compile with 256-bit registers available and the
+//! `[f64; 4]` lane ops become `vaddpd`/`vmulpd`/…. The lane types
+//! themselves are plain 4-element arrays with element-wise ops; off
+//! x86-64, or with the knob off, they compile as such.
 //!
-//! 1. **Twin stamping** ([`simd_kernel!`]): each kernel entry point is
-//!    expanded twice — a portable build and an AVX2+FMA
-//!    `#[target_feature]` twin — with a tiny runtime dispatcher. The
-//!    decisive property (stabilized with `target_feature_11`) is that
-//!    *closures defined inside a `#[target_feature]` function inherit
-//!    its features*, so the `launch`/`launch_par` kernel bodies stamped
-//!    into the twin compile with 256-bit registers available and the
-//!    `[f64; 4]` lane ops become `vaddpd`/`vmulpd`/…. This is why a
-//!    macro is needed at all: feature inheritance is syntactic, and a
-//!    multi-hundred-instruction kernel closure will not be inlined into
-//!    a feature frame by cost-model alone (see mechanism 2).
-//! 2. **Dispatch frame** ([`dispatch`]): small closures invoked inside
-//!    a `#[target_feature(enable = "avx2,fma")]` frame inline into it
-//!    and pick up the wide codegen — the pulp-style trick that avoids a
-//!    per-operation dynamic dispatch (feature-gated functions cannot
-//!    inline into lesser callers, so dispatching per op would cost a
-//!    call per add). Kept as belt-and-braces around the slab runner;
-//!    the hot kernels do not rely on it, because LLVM declines to
-//!    inline their large bodies into the frame.
-//! 3. **Explicit intrinsics**: builds that statically enable AVX
-//!    (`-C target-feature=+avx2` or `-C target-cpu=native`) use
-//!    `core::arch::x86_64::_mm256_*` directly for the `F64x4`
-//!    arithmetic; these are the same IEEE-754 element-wise operations,
-//!    so the bit-identity rule holds unchanged.
-//!
-//! On every other target the lane types compile to plain 4-element
-//! array loops — the scalar fallback that works everywhere.
-//!
-//! `ASUCA_SIMD=0` forces the scalar kernel path process-wide (A/B
-//! verification knob); `ASUCA_SIMD=1` forces lanes on even where no
-//! vector ISA was detected (portable arrays, still bit-identical).
+//! `ASUCA_SIMD=0` runs every x-walk at width 1 process-wide (A/B
+//! verification knob); `ASUCA_SIMD=1` forces the 4-wide pass even where
+//! no vector ISA was detected (portable arrays, still bit-identical).
 
 use crate::real::Real;
 use std::fmt::Debug;
+use std::marker::PhantomData;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::sync::OnceLock;
 
-/// Lane width of every [`Lane`] type in this module (f64 and f32 alike,
-/// so kernel remainder handling is width-agnostic).
+/// Width of the wide lane types [`F64x4`] and [`F32x4`].
 pub const LANES: usize = 4;
 
 /// A fixed-width vector of `R` with element-wise semantics identical to
 /// the scalar [`Real`] operations (see the module-level bit-identity
-/// rule). Obtained generically as `R::Lane`.
+/// rule). Implemented by the wide `R::Lane` and, at width 1, by `R`.
 pub trait Lane<R: Real>:
     Copy
     + Clone
@@ -83,7 +88,7 @@ pub trait Lane<R: Real>:
     + DivAssign
     + 'static
 {
-    /// Number of elements ([`LANES`]).
+    /// Number of elements ([`LANES`] for the wide types, 1 for `R`).
     const N: usize;
 
     /// Broadcast one scalar to all lanes.
@@ -114,6 +119,92 @@ pub trait Lane<R: Real>:
     fn select_ge(a: Self, b: Self, x: Self, y: Self) -> Self;
     /// Per lane: `if a < b { x } else { y }`.
     fn select_lt(a: Self, b: Self, x: Self, y: Self) -> Self;
+    /// Lazy [`select_ge`](Self::select_ge) for expensive sides: a wide
+    /// lane evaluates `x` then `y` and selects; width 1 branches and
+    /// evaluates only the taken side. The sides must be pure.
+    fn select_ge_with(a: Self, b: Self, x: impl FnOnce() -> Self, y: impl FnOnce() -> Self)
+        -> Self;
+}
+
+/// Every scalar is a lane of width 1: each op is the scalar op itself,
+/// and the lazy select is the scalar branch.
+impl<R: Real> Lane<R> for R {
+    const N: usize = 1;
+
+    #[inline(always)]
+    fn splat(x: R) -> Self {
+        x
+    }
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> R) -> Self {
+        f(0)
+    }
+    #[inline(always)]
+    fn load(src: &[R]) -> Self {
+        src[0]
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [R]) {
+        dst[0] = self;
+    }
+    #[inline(always)]
+    fn extract(self, lane: usize) -> R {
+        debug_assert_eq!(lane, 0, "a scalar has one lane");
+        self
+    }
+    #[inline(always)]
+    fn map(self, mut f: impl FnMut(R) -> R) -> Self {
+        f(self)
+    }
+    #[inline(always)]
+    fn abs(self) -> Self {
+        Real::abs(self)
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        Real::sqrt(self)
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        Real::max(self, o)
+    }
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        Real::min(self, o)
+    }
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        Real::mul_add(self, a, b)
+    }
+    #[inline(always)]
+    fn select_ge(a: Self, b: Self, x: Self, y: Self) -> Self {
+        if a >= b {
+            x
+        } else {
+            y
+        }
+    }
+    #[inline(always)]
+    fn select_lt(a: Self, b: Self, x: Self, y: Self) -> Self {
+        if a < b {
+            x
+        } else {
+            y
+        }
+    }
+    #[inline(always)]
+    fn select_ge_with(
+        a: Self,
+        b: Self,
+        x: impl FnOnce() -> Self,
+        y: impl FnOnce() -> Self,
+    ) -> Self {
+        if a >= b {
+            x()
+        } else {
+            y()
+        }
+    }
 }
 
 /// Four `f64` lanes (one 256-bit AVX register).
@@ -121,58 +212,20 @@ pub trait Lane<R: Real>:
 #[repr(C, align(32))]
 pub struct F64x4(pub [f64; LANES]);
 
-/// Four `f32` lanes (kept at the same width as [`F64x4`] so kernel
-/// remainder handling is precision-agnostic).
+/// Four `f32` lanes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 #[repr(C, align(16))]
 pub struct F32x4(pub [f32; LANES]);
 
-/// Binary ops for [`F64x4`]: explicit `_mm256_*` intrinsics when the
-/// build statically enables AVX, element-wise scalar ops otherwise
-/// (bitwise-identical either way — both are the IEEE-754 operation).
-macro_rules! f64x4_binop {
-    ($trait:ident, $fn:ident, $op:tt, $intrin:ident) => {
-        impl $trait for F64x4 {
+/// One element-wise binary op of a wide lane type: each element is the
+/// scalar IEEE-754 operation.
+macro_rules! lane_binop {
+    ($name:ident, $trait:ident, $fn:ident, $op:tt) => {
+        impl $trait for $name {
             type Output = Self;
             #[inline(always)]
             fn $fn(self, o: Self) -> Self {
-                #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-                // SAFETY: AVX is statically enabled for this build and
-                // both operands are 4 contiguous f64s.
-                unsafe {
-                    use std::arch::x86_64::*;
-                    let a = _mm256_loadu_pd(self.0.as_ptr());
-                    let b = _mm256_loadu_pd(o.0.as_ptr());
-                    let mut out = [0.0f64; LANES];
-                    _mm256_storeu_pd(out.as_mut_ptr(), $intrin(a, b));
-                    F64x4(out)
-                }
-                #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
-                {
-                    F64x4([
-                        self.0[0] $op o.0[0],
-                        self.0[1] $op o.0[1],
-                        self.0[2] $op o.0[2],
-                        self.0[3] $op o.0[3],
-                    ])
-                }
-            }
-        }
-    };
-}
-
-f64x4_binop!(Add, add, +, _mm256_add_pd);
-f64x4_binop!(Sub, sub, -, _mm256_sub_pd);
-f64x4_binop!(Mul, mul, *, _mm256_mul_pd);
-f64x4_binop!(Div, div, /, _mm256_div_pd);
-
-macro_rules! f32x4_binop {
-    ($trait:ident, $fn:ident, $op:tt) => {
-        impl $trait for F32x4 {
-            type Output = Self;
-            #[inline(always)]
-            fn $fn(self, o: Self) -> Self {
-                F32x4([
+                $name([
                     self.0[0] $op o.0[0],
                     self.0[1] $op o.0[1],
                     self.0[2] $op o.0[2],
@@ -183,16 +236,14 @@ macro_rules! f32x4_binop {
     };
 }
 
-f32x4_binop!(Add, add, +);
-f32x4_binop!(Sub, sub, -);
-f32x4_binop!(Mul, mul, *);
-f32x4_binop!(Div, div, /);
-
-/// Everything that is identical between the two lane types: `Neg`, the
-/// assign ops, and the [`Lane`] impl (all element-wise scalar ops, per
-/// the bit-identity rule).
+/// The operators and the [`Lane`] impl of a wide lane type (all
+/// element-wise scalar ops, per the bit-identity rule).
 macro_rules! lane_common {
     ($name:ident, $elem:ty) => {
+        lane_binop!($name, Add, add, +);
+        lane_binop!($name, Sub, sub, -);
+        lane_binop!($name, Mul, mul, *);
+        lane_binop!($name, Div, div, /);
         impl Neg for $name {
             type Output = Self;
             #[inline(always)]
@@ -281,6 +332,16 @@ macro_rules! lane_common {
             fn select_lt(a: Self, b: Self, x: Self, y: Self) -> Self {
                 <Self as Lane<$elem>>::from_fn(|l| if a.0[l] < b.0[l] { x.0[l] } else { y.0[l] })
             }
+            #[inline(always)]
+            fn select_ge_with(
+                a: Self,
+                b: Self,
+                x: impl FnOnce() -> Self,
+                y: impl FnOnce() -> Self,
+            ) -> Self {
+                let (x, y) = (x(), y());
+                <Self as Lane<$elem>>::select_ge(a, b, x, y)
+            }
         }
     };
 }
@@ -318,30 +379,86 @@ pub fn default_enabled() -> bool {
     })
 }
 
-/// Run `f` inside the widest instruction-set frame the CPU supports.
+/// Zero-sized token naming the lane type `L` of one
+/// [`x_walk!`](crate::x_walk) pass.
 ///
-/// With `lanes` set and AVX2+FMA detected at runtime, `f` is called from
-/// a `#[target_feature(enable = "avx2,fma")]` function; because `f` is a
-/// generic closure it inlines into that frame, so all lane arithmetic in
-/// the kernel body compiles to 256-bit instructions. Otherwise `f` runs
-/// directly. Either way `f` executes exactly once on the calling thread
-/// and its result is returned — the frame changes instruction selection
-/// only, never values (no fast-math; IEEE semantics are preserved).
-#[inline(always)]
-pub fn dispatch<A>(lanes: bool, f: impl FnOnce() -> A) -> A {
-    #[cfg(target_arch = "x86_64")]
-    if lanes && lanes_native() {
-        // SAFETY: avx2+fma presence was verified by `lanes_native`.
-        return unsafe { dispatch_avx2(f) };
+/// A walk body is a block expanded once per width, and a block cannot
+/// name the type the macro chose for it; the token carries it instead,
+/// so `lw.splat(x)`, `lw.load(slice)` and `row.lanes(lw, i)` produce `L`
+/// values and type inference does the rest.
+#[derive(Clone, Copy)]
+pub struct Width<R, L>(PhantomData<fn() -> (R, L)>);
+
+impl<R: Real, L: Lane<R>> Width<R, L> {
+    #[inline(always)]
+    pub fn new() -> Self {
+        Width(PhantomData)
     }
-    let _ = &lanes;
-    f()
+    /// Elements per lane of this pass (`L::N`).
+    #[inline(always)]
+    pub fn n(self) -> usize {
+        L::N
+    }
+    /// [`Lane::splat`] at this width.
+    #[inline(always)]
+    pub fn splat(self, x: R) -> L {
+        L::splat(x)
+    }
+    /// [`Lane::load`] at this width.
+    #[inline(always)]
+    pub fn load(self, src: &[R]) -> L {
+        L::load(src)
+    }
+    /// [`Lane::from_fn`] at this width.
+    #[inline(always)]
+    pub fn from_fn(self, f: impl FnMut(usize) -> R) -> L {
+        L::from_fn(f)
+    }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dispatch_avx2<A>(f: impl FnOnce() -> A) -> A {
-    f()
+impl<R: Real, L: Lane<R>> Default for Width<R, L> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Walk the x-range `lo..hi` (`isize`) with one body at two widths.
+///
+/// ```text
+/// numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
+///     out.set_lanes(lw, i, a.lanes(lw, i) * lw.splat(c));
+/// });
+/// ```
+///
+/// With `lanes_on`, the body runs at `R::Lane` while a whole lane fits
+/// (`i + N <= hi`, `i` advancing by `N`); then, and for the whole row
+/// when `lanes_on` is false, it runs at width 1 (`lw` names `R` itself).
+/// Every point is computed exactly once, by the same expression, in the
+/// same i-order, so both passes give the bits of a scalar walk (see the
+/// module-level bit-identity rule).
+///
+/// The body is expanded once per width and must not `break` or
+/// `continue` the walk. The arguments read like a call with a closure,
+/// so rustfmt formats the body wherever it formats the caller.
+#[macro_export]
+macro_rules! x_walk {
+    ($R:ty, $lanes_on:expr, $range:expr, |$w:ident, $i:ident| $body:block) => {{
+        let range: ::core::ops::Range<isize> = $range;
+        let mut $i = range.start;
+        if $lanes_on {
+            let $w = $crate::simd::Width::<$R, <$R as $crate::Real>::Lane>::new();
+            let n = <<$R as $crate::Real>::Lane as $crate::simd::Lane<$R>>::N as isize;
+            while $i + n <= range.end {
+                $body
+                $i += n;
+            }
+        }
+        let $w = $crate::simd::Width::<$R, $R>::new();
+        while $i < range.end {
+            $body
+            $i += 1;
+        }
+    }};
 }
 
 /// Stamp a kernel entry point twice — a portable build and (on x86-64)
@@ -359,16 +476,17 @@ unsafe fn dispatch_avx2<A>(f: impl FnOnce() -> A) -> A {
 /// Why this exists: `#[target_feature]` inheritance is *syntactic* —
 /// the launch closures holding the kernel loops compile with the
 /// features of the function they are written in, and LLVM will not
-/// inline a multi-hundred-instruction closure into a feature frame like
-/// [`dispatch`] by cost model alone. Stamping the whole body into a
+/// inline a multi-hundred-instruction closure into a feature frame by
+/// cost model alone. Stamping the whole body into a
 /// `#[target_feature(enable = "avx2,fma")]` twin makes the closures
 /// inherit the features, so the `[f64; 4]` lane ops compile to 256-bit
 /// instructions — with no global `-C target-feature` baseline (the
 /// portable twin still runs on any x86-64) and no per-op dispatch.
 ///
 /// The twin is entered only when the device's SIMD knob is on *and*
-/// [`lanes_native`] detects AVX2+FMA; `ASUCA_SIMD=0` therefore measures
-/// the scalar walk at baseline codegen, a true A/B. Either twin
+/// [`lanes_native`](crate::simd::lanes_native) detects AVX2+FMA;
+/// `ASUCA_SIMD=0` therefore measures the width-1 walk at baseline
+/// codegen, a true A/B. Either twin
 /// performs the exact same IEEE-754 operations per point (see the
 /// module-level bit-identity rule), so the choice never changes
 /// results.
@@ -413,44 +531,103 @@ mod tests {
         ([1.5, -2.25, 1.0e-300, 7.75], [-0.5, 2.25, 3.0e-300, -7.75])
     }
 
+    /// Exact bits of a scalar of either precision (widening to f64 is
+    /// exact, signed zeros included).
+    fn bits<R: Real>(x: R) -> u64 {
+        x.to_f64().to_bits()
+    }
+
+    fn operands<R: Real>() -> (Vec<R>, Vec<R>) {
+        let a = [1.5, -2.25, 1.0e-300, 7.75, 0.0, -3.5, 1.0e30, -0.0];
+        let b = [-0.5, 2.25, 3.0e-300, -7.75, -0.0, 0.125, 3.0, 2.0];
+        (
+            a.iter().map(|&x| R::from_f64(x)).collect(),
+            b.iter().map(|&x| R::from_f64(x)).collect(),
+        )
+    }
+
+    /// Every op of lane type `L` equals the scalar op per element, to
+    /// the last bit.
+    fn ops_match_scalar<R: Real, L: Lane<R>>() {
+        let (a, b) = operands::<R>();
+        for f in (0..a.len()).step_by(L::N) {
+            let (va, vb) = (L::load(&a[f..]), L::load(&b[f..]));
+            for l in 0..L::N {
+                let (x, y) = (a[f + l], b[f + l]);
+                assert_eq!(bits((va + vb).extract(l)), bits(x + y));
+                assert_eq!(bits((va - vb).extract(l)), bits(x - y));
+                assert_eq!(bits((va * vb).extract(l)), bits(x * y));
+                assert_eq!(bits((va / vb).extract(l)), bits(x / y));
+                assert_eq!(bits((-va).extract(l)), bits(-x));
+                assert_eq!(bits(va.abs().extract(l)), bits(x.abs()));
+                assert_eq!(bits(va.abs().sqrt().extract(l)), bits(x.abs().sqrt()));
+                assert_eq!(bits(va.mul_add(vb, vb).extract(l)), bits(x.mul_add(y, y)));
+            }
+        }
+    }
+
     /// The contract everything else rests on: every lane op equals the
-    /// scalar op per element, to the last bit.
+    /// scalar op per element, to the last bit — for the wide lanes and
+    /// for the scalars run as width-1 lanes, in both precisions.
     #[test]
     fn lane_ops_bitwise_match_scalar() {
-        let (a, b) = vals();
-        let (va, vb) = (F64x4(a), F64x4(b));
-        for l in 0..LANES {
-            assert_eq!((va + vb).0[l].to_bits(), (a[l] + b[l]).to_bits());
-            assert_eq!((va - vb).0[l].to_bits(), (a[l] - b[l]).to_bits());
-            assert_eq!((va * vb).0[l].to_bits(), (a[l] * b[l]).to_bits());
-            assert_eq!((va / vb).0[l].to_bits(), (a[l] / b[l]).to_bits());
-            assert_eq!((-va).0[l].to_bits(), (-a[l]).to_bits());
-            assert_eq!(va.abs().0[l].to_bits(), a[l].abs().to_bits());
-            assert_eq!(va.abs().sqrt().0[l].to_bits(), a[l].abs().sqrt().to_bits());
-            assert_eq!(
-                va.mul_add(vb, vb).0[l].to_bits(),
-                a[l].mul_add(b[l], b[l]).to_bits()
-            );
+        ops_match_scalar::<f64, F64x4>();
+        ops_match_scalar::<f64, f64>();
+        ops_match_scalar::<f32, F32x4>();
+        ops_match_scalar::<f32, f32>();
+    }
+
+    fn max_min_match_scalar<R: Real, L: Lane<R>>() {
+        let edge = [0.0, -0.0, 1.0, -1.0].map(R::from_f64);
+        for &x in &edge {
+            for &y in &edge {
+                let (vx, vy) = (L::splat(x), L::splat(y));
+                for l in 0..L::N {
+                    assert_eq!(bits(vx.max(vy).extract(l)), bits(x.max(y)));
+                    assert_eq!(bits(vx.min(vy).extract(l)), bits(x.min(y)));
+                }
+            }
         }
     }
 
     /// `max`/`min` are the one place vector ISAs (`vmaxpd` returns SRC2
     /// on equal or NaN) and Rust's scalar `maxnum` could diverge on
-    /// ±0.0; the lane impl therefore calls the scalar op per element and
+    /// ±0.0; the lane impls therefore call the scalar op per element and
     /// this test pins the equivalence, signed zeros included.
     #[test]
     fn lane_max_min_match_scalar_including_signed_zero() {
-        let edge = [0.0f64, -0.0, 1.0, -1.0];
-        for &x in &edge {
-            for &y in &edge {
-                let vx = F64x4::splat(x);
-                let vy = F64x4::splat(y);
-                for l in 0..LANES {
-                    assert_eq!(vx.max(vy).0[l].to_bits(), x.max(y).to_bits());
-                    assert_eq!(vx.min(vy).0[l].to_bits(), x.min(y).to_bits());
-                }
-            }
-        }
+        max_min_match_scalar::<f64, F64x4>();
+        max_min_match_scalar::<f64, f64>();
+        max_min_match_scalar::<f32, F32x4>();
+        max_min_match_scalar::<f32, f32>();
+    }
+
+    /// The width-1 lazy select is the scalar branch: only the taken side
+    /// runs. The wide lane runs both sides, once each.
+    #[test]
+    fn lazy_select_evaluates_only_the_taken_side_at_width_one() {
+        use std::cell::Cell;
+        let (xs, ys) = (Cell::new(0), Cell::new(0));
+        let x = || {
+            xs.set(xs.get() + 1);
+            10.0
+        };
+        let y = || {
+            ys.set(ys.get() + 1);
+            -10.0
+        };
+        assert_eq!(<f64 as Lane<f64>>::select_ge_with(2.0, 1.0, x, y), 10.0);
+        assert_eq!((xs.get(), ys.get()), (1, 0));
+        assert_eq!(<f64 as Lane<f64>>::select_ge_with(1.0, 2.0, x, y), -10.0);
+        assert_eq!((xs.get(), ys.get()), (1, 1));
+        // Equal operands take the `>=` side.
+        assert_eq!(<f64 as Lane<f64>>::select_ge_with(2.0, 2.0, x, y), 10.0);
+        assert_eq!((xs.get(), ys.get()), (2, 1));
+
+        let (a, b) = (F64x4([2.0, 1.0, 2.0, 0.0]), F64x4([1.0, 2.0, 2.0, 0.5]));
+        let v = F64x4::select_ge_with(a, b, || F64x4::splat(x()), || F64x4::splat(y()));
+        assert_eq!(v.0, [10.0, -10.0, 10.0, -10.0]);
+        assert_eq!((xs.get(), ys.get()), (3, 2));
     }
 
     #[test]
@@ -498,15 +675,37 @@ mod tests {
         let w = F32x4::splat(2.0);
         assert_eq!((v * w).0, [2.0, 4.0, 6.0, 8.0]);
         assert_eq!(<F32x4 as Lane<f32>>::N, LANES);
+        assert_eq!(<f32 as Lane<f32>>::N, 1);
     }
 
     #[test]
-    fn dispatch_returns_closure_result_in_both_modes() {
-        let gold: f64 = (0..100).map(|i| (i as f64).sqrt()).sum();
-        let scalar = dispatch(false, || (0..100).map(|i| (i as f64).sqrt()).sum::<f64>());
-        let lanes = dispatch(true, || (0..100).map(|i| (i as f64).sqrt()).sum::<f64>());
-        assert_eq!(scalar.to_bits(), gold.to_bits());
-        assert_eq!(lanes.to_bits(), gold.to_bits());
+    fn x_walk_covers_each_point_once_at_both_widths() {
+        for lanes_on in [false, true] {
+            for hi in 0..11isize {
+                let mut out = [0.0f64; 12];
+                let mut widths = Vec::new();
+                crate::x_walk!(f64, lanes_on, 1..hi, |lw, i| {
+                    let v = lw.from_fn(|e| (i + e as isize) as f64);
+                    let cur = lw.load(&out[i as usize..]);
+                    (cur + v).store(&mut out[i as usize..]);
+                    widths.push(lw.n());
+                });
+                for (i, &o) in out.iter().enumerate() {
+                    let want = if i >= 1 && (i as isize) < hi {
+                        i as f64
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(o, want, "point {i} of 1..{hi}, lanes {lanes_on}");
+                }
+                let wide = if lanes_on {
+                    ((hi - 1).max(0) as usize) / LANES
+                } else {
+                    0
+                };
+                assert_eq!(widths.iter().filter(|&&n| n == LANES).count(), wide);
+            }
+        }
     }
 
     #[test]

@@ -12,25 +12,25 @@ use crate::eos;
 /// Base-state profile family.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Profile {
-    /// Constant temperature `t0` [K].
+    /// Constant temperature `t0` \[K\].
     Isothermal { t0: f64 },
     /// Constant Brunt–Väisälä frequency `n` [s⁻¹] with surface potential
-    /// temperature `theta0` [K].
+    /// temperature `theta0` \[K\].
     ConstantN { theta0: f64, n: f64 },
 }
 
 /// Thermodynamic base-state values at one height.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Level {
-    /// Height above the surface [m].
+    /// Height above the surface \[m\].
     pub z: f64,
-    /// Potential temperature θ̄ [K].
+    /// Potential temperature θ̄ \[K\].
     pub theta: f64,
     /// Exner function π̄.
     pub pi: f64,
-    /// Pressure p̄ [Pa].
+    /// Pressure p̄ \[Pa\].
     pub p: f64,
-    /// Temperature T̄ [K].
+    /// Temperature T̄ \[K\].
     pub t: f64,
     /// Density ρ̄ [kg m⁻³].
     pub rho: f64,
@@ -44,7 +44,7 @@ pub struct Level {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaseState {
     pub profile: Profile,
-    /// Surface pressure [Pa].
+    /// Surface pressure \[Pa\].
     pub p_surface: f64,
 }
 
@@ -63,7 +63,7 @@ impl BaseState {
         }
     }
 
-    /// Evaluate the base state at height `z` [m].
+    /// Evaluate the base state at height `z` \[m\].
     pub fn at(&self, z: f64) -> Level {
         let pi_sfc = (self.p_surface / P00).powf(KAPPA);
         let (theta, pi) = match self.profile {

@@ -8,7 +8,7 @@ pub const RV: f64 = 461.50;
 pub const CP: f64 = 1004.64;
 /// Specific heat of dry air at constant volume [J kg⁻¹ K⁻¹].
 pub const CV: f64 = CP - RD;
-/// Reference surface pressure [Pa].
+/// Reference surface pressure \[Pa\].
 pub const P00: f64 = 1.0e5;
 /// Gravitational acceleration [m s⁻²].
 pub const GRAV: f64 = 9.80665;
@@ -22,7 +22,7 @@ pub const KAPPA: f64 = RD / CP;
 pub const GAMMA: f64 = CP / CV;
 /// Latent heat of vaporization at 0°C [J kg⁻¹].
 pub const LV: f64 = 2.501e6;
-/// Freezing point [K].
+/// Freezing point \[K\].
 pub const T0C: f64 = 273.15;
 /// Default Coriolis parameter (f-plane at ~35°N) [s⁻¹].
 pub const F_CORIOLIS_35N: f64 = 2.0 * 7.292e-5 * 0.573576436; // 2Ω sin(35°)

@@ -16,7 +16,7 @@ use crate::consts::{CV, GAMMA, GRAV, KAPPA, P00, RD};
 use numerics::Real;
 
 /// Full (nonlinear) pressure from the density–potential-temperature
-/// product `ρθ` [Pa].
+/// product `ρθ` \[Pa\].
 #[inline(always)]
 pub fn pressure_from_rho_theta<R: Real>(rho_theta: R) -> R {
     let p00 = R::from_f64(P00);

@@ -32,7 +32,7 @@ pub const K2_ACCRETION: f64 = 2.2;
 /// Thermodynamic/water state of one grid point handed to the scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointState<R> {
-    /// Potential temperature θ [K].
+    /// Potential temperature θ \[K\].
     pub theta: R,
     /// Water-vapour mixing ratio [kg/kg].
     pub qv: R,
@@ -44,7 +44,7 @@ pub struct PointState<R> {
 
 /// Apply the warm-rain scheme to one grid point over `dt` seconds.
 ///
-/// `p` is pressure [Pa], `pi` the Exner function and `rho` density
+/// `p` is pressure \[Pa\], `pi` the Exner function and `rho` density
 /// [kg m⁻³] at the point. Total water `qv + qc + qr` is conserved exactly
 /// (sedimentation is *not* applied here).
 #[inline]

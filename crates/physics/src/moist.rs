@@ -3,7 +3,7 @@
 use crate::consts::{EPS_RD_RV, T0C};
 use numerics::Real;
 
-/// Saturation vapour pressure over liquid water (Tetens, 1930) [Pa].
+/// Saturation vapour pressure over liquid water (Tetens, 1930) \[Pa\].
 ///
 /// `es(T) = 610.78 exp(17.27 (T − 273.15) / (T − 35.85))`
 #[inline(always)]

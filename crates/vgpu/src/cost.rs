@@ -94,7 +94,7 @@ pub struct Launch {
     pub grid: Dim3,
     pub block: Dim3,
     pub cost: KernelCost,
-    /// Dynamic shared memory per block [bytes] (validated vs. the spec).
+    /// Dynamic shared memory per block \[bytes\] (validated vs. the spec).
     pub shared_mem_per_block: u32,
     /// Elements retired per inner-loop iteration of the Functional body
     /// (1 = scalar walk, `numerics::simd::LANES` = vectorized x-walk).
@@ -168,7 +168,7 @@ impl Launch {
     }
 }
 
-/// Evaluate the execution time [s] of a launch on `spec` for elements of
+/// Evaluate the execution time \[s\] of a launch on `spec` for elements of
 /// `elem_bytes`, per the paper's Eq. (6) extended with coalescing,
 /// occupancy and SFU effects:
 ///
@@ -206,7 +206,7 @@ pub fn kernel_time(spec: &DeviceSpec, launch: &Launch, elem_bytes: usize) -> f64
     flops / fpeak + bytes / bpeak + spec.launch_overhead_s
 }
 
-/// Time [s] for a host↔device copy of `bytes` over the PCIe link.
+/// Time \[s\] for a host↔device copy of `bytes` over the PCIe link.
 pub fn copy_time(spec: &DeviceSpec, bytes: u64) -> f64 {
     if spec.pcie_bw_gbs.is_infinite() {
         return 0.0;

@@ -138,7 +138,7 @@ impl<R: Real> Device<R> {
         StreamId((self.streams.len() - 1) as u32)
     }
 
-    /// Current simulated host-thread time [s].
+    /// Current simulated host-thread time \[s\].
     pub fn host_time(&self) -> f64 {
         self.host_time
     }
@@ -254,9 +254,9 @@ impl<R: Real> Device<R> {
         Ok(())
     }
 
-    /// Whether Functional kernel bodies should take their SIMD lane
+    /// Whether Functional kernel bodies should take their 4-wide lane
     /// x-walks (from [`DeviceSpec::host_simd`]); results are bitwise
-    /// identical either way — kernels consult this so the scalar path
+    /// identical either way — kernels consult this so the width-1 walk
     /// stays exercisable via `ASUCA_SIMD=0`.
     pub fn simd_enabled(&self) -> bool {
         self.spec.host_simd
@@ -291,7 +291,7 @@ impl<R: Real> Device<R> {
                 arena: &self.arena,
                 trace: trace.as_ref(),
             };
-            numerics::simd::dispatch(self.spec.host_simd, || f(&view));
+            f(&view);
             recs = trace.map(LaunchTrace::into_recs);
         }
         if let Some(s) = &mut self.san {
@@ -304,7 +304,7 @@ impl<R: Real> Device<R> {
     /// on the host: the body is invoked as `f(&view, j0, j1)` for a
     /// balanced, disjoint partition of the span across
     /// [`DeviceSpec::host_threads`] workers of the device's persistent
-    /// [`WorkerPool`](crate::pool::WorkerPool) (created once, lazily, and
+    /// [`WorkerPool`] (created once, lazily, and
     /// reused by every launch — no per-launch thread spawns).
     ///
     /// Simulated timing is **identical** to [`launch`](Self::launch) —
@@ -332,10 +332,6 @@ impl<R: Real> Device<R> {
                 arena: &self.arena,
                 trace: trace.as_ref(),
             };
-            // Each participant enters the runtime-detected AVX2 dispatch
-            // frame once per slab, so the (inlined) kernel body compiles
-            // to 256-bit lane ops — values are unchanged (no fast-math).
-            let simd = self.spec.host_simd;
             if self.san.as_ref().is_some_and(|s| s.serialize_slabs()) {
                 // Racecheck: run a fine fixed partition sequentially.
                 // Temporally-overlapping claims become analyzable records
@@ -349,7 +345,7 @@ impl<R: Real> Device<R> {
                 // cap and keeps exhaustive per-row resolution.
                 for (j0, j1) in numerics::par::split_ranges(span, span.min(san::RACE_SLABS)) {
                     san::set_current_slab(j0);
-                    numerics::simd::dispatch(simd, || f(&view, j0, j1));
+                    f(&view, j0, j1);
                 }
                 san::set_current_slab(san::WHOLE_SLAB);
             } else {
@@ -363,14 +359,14 @@ impl<R: Real> Device<R> {
                         if tracing {
                             san::set_current_slab(j0);
                         }
-                        numerics::simd::dispatch(simd, || f(&view, j0, j1))
+                        f(&view, j0, j1)
                     }),
                     None => {
                         if span > 0 {
                             if tracing {
                                 san::set_current_slab(0);
                             }
-                            numerics::simd::dispatch(simd, || f(&view, 0, span));
+                            f(&view, 0, span);
                         }
                     }
                 }

@@ -46,7 +46,7 @@ impl<R> Buf<R> {
     pub fn id(&self) -> u32 {
         self.id
     }
-    /// Whole-buffer access declaration for [`Launch::reading`]
+    /// Whole-buffer access declaration for [`Launch::reading`](crate::Launch::reading)
     /// / [`Launch::writing`](crate::Launch::writing).
     pub fn access(&self) -> AccessDecl {
         AccessDecl {

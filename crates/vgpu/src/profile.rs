@@ -16,9 +16,9 @@ pub struct OpRecord {
     pub name: &'static str,
     pub kind: OpKind,
     pub stream: u32,
-    /// Simulated start time [s].
+    /// Simulated start time \[s\].
     pub start: f64,
-    /// Simulated end time [s].
+    /// Simulated end time \[s\].
     pub end: f64,
     /// Floating-point operations performed (kernels only).
     pub flops: f64,
@@ -47,7 +47,7 @@ pub struct Profiler {
     pub total_kernel_time: f64,
     pub total_h2d_bytes: f64,
     pub total_d2h_bytes: f64,
-    /// Copy-engine busy time (both directions) [s].
+    /// Copy-engine busy time (both directions) \[s\].
     pub total_copy_time: f64,
     pub kernel_launches: u64,
 }

@@ -15,15 +15,15 @@ pub struct DeviceSpec {
     pub peak_dp_gflops: f64,
     /// Peak device-memory bandwidth [GB/s].
     pub mem_bw_gbs: f64,
-    /// Device memory capacity [bytes].
+    /// Device memory capacity \[bytes\].
     pub mem_capacity: u64,
     /// Number of streaming multiprocessors (1 for a CPU core).
     pub sm_count: u32,
-    /// Shared memory per SM [bytes].
+    /// Shared memory per SM \[bytes\].
     pub shared_mem_per_sm: u32,
-    /// Device-side fixed overhead per kernel launch [s] (the α of Eq. 6).
+    /// Device-side fixed overhead per kernel launch \[s\] (the α of Eq. 6).
     pub launch_overhead_s: f64,
-    /// Host-side cost of issuing an asynchronous operation [s].
+    /// Host-side cost of issuing an asynchronous operation \[s\].
     pub host_issue_overhead_s: f64,
     /// Thread count at which memory bandwidth saturates; fewer concurrent
     /// threads proportionally under-utilize the memory system (this is
@@ -31,7 +31,7 @@ pub struct DeviceSpec {
     pub saturation_threads: u32,
     /// Host link (PCI-Express) bandwidth [GB/s], per direction.
     pub pcie_bw_gbs: f64,
-    /// Host link latency per transfer [s].
+    /// Host link latency per transfer \[s\].
     pub pcie_latency_s: f64,
     /// Fraction of the theoretical memory bandwidth a well-tuned
     /// streaming kernel actually achieves (DRAM efficiency); ~70% on
@@ -48,10 +48,10 @@ pub struct DeviceSpec {
     /// functional runs — never the simulated timeline.
     pub host_threads: usize,
     /// Whether Functional-mode kernel bodies take their 4-wide SIMD
-    /// x-walks (`numerics::simd`), and whether launches enter the
-    /// runtime-detected AVX2 dispatch frame. Bitwise identical to the
-    /// scalar walk by construction; like `host_threads`, affects only
-    /// the host wall clock — never the simulated timeline.
+    /// x-walks (`numerics::simd`) and, on AVX2+FMA hosts, their
+    /// `simd_kernel!` AVX2 twins. Bitwise identical to the width-1 walk
+    /// by construction; like `host_threads`, affects only the host wall
+    /// clock — never the simulated timeline.
     pub host_simd: bool,
 }
 

@@ -5,15 +5,23 @@
 //! setting (each grid point is computed by exactly one worker from the
 //! same inputs with the same operation order, and every lane op is the
 //! same scalar op per element, so there is no rounding ambiguity to
-//! hide behind).
+//! hide behind). The matrix runs in both precisions, and on a grid
+//! whose x-extent is not a multiple of the lane width, so the 4-wide
+//! pass and the width-1 remainder meet inside every row.
 
 use asuca_gpu::SingleGpu;
 use dycore::config::ModelConfig;
 use dycore::{init, Model};
+use numerics::Real;
 use vgpu::{Device, DeviceSpec, ExecMode, KernelCost, Launch, StreamId};
 
-fn run_with(threads: usize, simd: bool, steps: usize) -> (dycore::State, f64) {
-    let mut cfg = ModelConfig::mountain_wave(16, 12, 10);
+fn run_with<R: Real>(
+    (nx, ny, nz): (usize, usize, usize),
+    threads: usize,
+    simd: bool,
+    steps: usize,
+) -> (dycore::State, f64) {
+    let mut cfg = ModelConfig::mountain_wave(nx, ny, nz);
     cfg.dt = 4.0;
     cfg.threads = threads;
     // Pin the lane path explicitly so the matrix below is independent of
@@ -22,8 +30,7 @@ fn run_with(threads: usize, simd: bool, steps: usize) -> (dycore::State, f64) {
     // Identical initial state on every run.
     let mut seed = Model::new(cfg.clone());
     init::warm_moist_bubble(&mut seed, 1.5, 0.95, 0.5, 0.5, 0.3, 3.5);
-    let mut gpu =
-        SingleGpu::<f64>::new(cfg.clone(), DeviceSpec::tesla_s1070(), ExecMode::Functional);
+    let mut gpu = SingleGpu::<R>::new(cfg.clone(), DeviceSpec::tesla_s1070(), ExecMode::Functional);
     gpu.load_state(&seed.state).unwrap();
     gpu.run(steps).unwrap();
     let mut out = dycore::State::zeros(&gpu.grid, cfg.n_tracers);
@@ -83,19 +90,28 @@ fn assert_states_identical(base: &dycore::State, other: &dycore::State, label: &
 
 #[test]
 fn thread_count_and_simd_never_change_results_or_simulated_time() {
+    // 16 is a multiple of the lane width; 18 leaves a width-1 remainder
+    // of 2 in every interior row.
+    for grid in [(16, 12, 10), (18, 12, 10)] {
+        threads_by_simd_matrix::<f64>(grid);
+        threads_by_simd_matrix::<f32>(grid);
+    }
+}
+
+/// Full matrix: threads {1, 2, 3, 8} × SIMD {off, on}, all against the
+/// single-threaded width-1 walk, in precision `R`.
+fn threads_by_simd_matrix<R: Real>(grid: (usize, usize, usize)) {
     let steps = 12;
-    let (base, t1) = run_with(1, false, steps);
+    let (base, t1) = run_with::<R>(grid, 1, false, steps);
     assert_eq!(base.find_non_finite(), None);
-    // Full matrix: threads {1, 2, 3, 8} × SIMD {off, on}, all against
-    // the single-threaded scalar walk.
     for threads in [1, 2, 3, 8] {
         for simd in [false, true] {
             if threads == 1 && !simd {
                 continue;
             }
-            let (par, tn) = run_with(threads, simd, steps);
+            let (par, tn) = run_with::<R>(grid, threads, simd, steps);
             assert_eq!(par.find_non_finite(), None);
-            let label = format!("threads={threads} simd={simd}");
+            let label = format!("{} {grid:?} threads={threads} simd={simd}", R::PRECISION);
             assert_states_identical(&base, &par, &label);
             // Neither host parallelism nor host lane width may touch
             // the simulated GT200 timeline, to the last bit.
