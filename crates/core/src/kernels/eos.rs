@@ -116,7 +116,7 @@ pub fn eos_full<R: Real>(
                         // The powf core stays scalar per lane: `map`
                         // applies the identical scalar function at
                         // either width.
-                        let rho_th = th_row.lanes(lw, i) * lw.load(&inv_g_row[(i + h) as usize..]);
+                        let rho_th = th_row.lanes(lw, i) * lw.load_at(&inv_g_row, (i + h) as usize);
                         p_row.set_lanes(lw, i, rho_th.map(eos::pressure_from_rho_theta));
                     });
                 }

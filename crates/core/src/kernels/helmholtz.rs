@@ -194,8 +194,8 @@ pub fn helmholtz<R: Real>(
                             let vh = lw.splat(half);
                             let vdz = lw.splat(dz);
                             let gm = g_row.lanes(lw, i);
-                            gm.store(&mut gm_row[li(i)..]);
-                            (vone / (gm * vdz)).store(&mut inv_gdz_row[li(i)..]);
+                            gm.store_at(&mut gm_row, li(i));
+                            (vone / (gm * vdz)).store_at(&mut inv_gdz_row, li(i));
                             let ws = if flat {
                                 lw.splat(R::ZERO)
                             } else {
@@ -206,7 +206,7 @@ pub fn helmholtz<R: Real>(
                                 let slopey = vh * (sy_jm1.lanes(lw, i) + sy_0.lanes(lw, i));
                                 rho0 * (uspec * slopex + vspec * slopey)
                             };
-                            ws.store(&mut w_surf[li(i)..]);
+                            ws.store_at(&mut w_surf, li(i));
                         });
                     }
 
@@ -248,7 +248,7 @@ pub fn helmholtz<R: Real>(
                             let dh_th = (thu_p * u0.lanes(lw, i) - thu_m * u0.lanes(lw, i - 1))
                                 * vdx
                                 + (thv_p * v0.lanes(lw, i) - thv_m * vjm1.lanes(lw, i)) * vdy;
-                            let inv_gdz = lw.load(&inv_gdz_row[li(i)..]);
+                            let inv_gdz = lw.load_at(&inv_gdz_row, li(i));
                             let dwz_old = (w_kp.lanes(lw, i) - w_k.lanes(lw, i)) * inv_gdz;
                             let dthwz_old = (thw_kp.lanes(lw, i) * w_kp.lanes(lw, i)
                                 - thw_k.lanes(lw, i) * w_k.lanes(lw, i))
@@ -261,7 +261,7 @@ pub fn helmholtz<R: Real>(
                             stth_row.set_lanes(lw, i, th_st);
                             (pref_0.lanes(lw, i)
                                 + c2m_0.lanes(lw, i) * (th_st - thref_0.lanes(lw, i)))
-                            .store(&mut p_st[kc * nxs + li(i)..]);
+                            .store_at(&mut p_st, kc * nxs + li(i));
                         });
                     }
 
@@ -296,24 +296,24 @@ pub fn helmholtz<R: Real>(
                             let vdt = lw.splat(dt);
                             let vomb = lw.splat(one - bt);
                             let vbt = lw.splat(bt);
-                            let gm = lw.load(&gm_row[li(i)..]);
+                            let gm = lw.load_at(&gm_row, li(i));
                             let c2m_lo = c2m_lo_row.lanes(lw, i);
                             let c2m_hi = c2m_hi_row.lanes(lw, i);
                             let thw_m = thw_m_row.lanes(lw, i);
                             let thw_0 = thw_0_row.lanes(lw, i);
                             let thw_p = thw_p_row.lanes(lw, i);
                             (vmtb2 / gm * (c2m_lo * thw_m / vdz2 - vg2dz))
-                                .store(&mut ta[row * nxs + li(i)..]);
+                                .store_at(&mut ta, row * nxs + li(i));
                             (vone + vtb2 / (gm * vdz * vdz) * thw_0 * (c2m_hi + c2m_lo))
-                                .store(&mut tb[row * nxs + li(i)..]);
+                                .store_at(&mut tb, row * nxs + li(i));
                             (vmtb2 / gm * (c2m_hi * thw_p / vdz2 + vg2dz))
-                                .store(&mut tc[row * nxs + li(i)..]);
+                                .store_at(&mut tc, row * nxs + li(i));
                             let p_old_grad = (p_k.lanes(lw, i) - p_km1.lanes(lw, i)) / vdz;
                             let buoy_old = vgrav
                                 * (vh * (rho_km1.lanes(lw, i) + rho_k.lanes(lw, i))
                                     - rbw_k.lanes(lw, i));
-                            let p_st_grad = (lw.load(&p_st[kw * nxs + li(i)..])
-                                - lw.load(&p_st[(kw - 1) * nxs + li(i)..]))
+                            let p_st_grad = (lw.load_at(&p_st, kw * nxs + li(i))
+                                - lw.load_at(&p_st, (kw - 1) * nxs + li(i)))
                                 / vdz;
                             let buoy_st = vgrav
                                 * (vh * (strho_km1.lanes(lw, i) + strho_k.lanes(lw, i))
@@ -321,7 +321,7 @@ pub fn helmholtz<R: Real>(
                             (w_k.lanes(lw, i) + vdt * fw_k.lanes(lw, i)
                                 - vdt * vomb * (p_old_grad + buoy_old)
                                 - vdt * vbt * (p_st_grad + buoy_st))
-                                .store(&mut td[row * nxs + li(i)..]);
+                                .store_at(&mut td, row * nxs + li(i));
                         });
                     }
                     if nz >= 2 {
@@ -340,26 +340,28 @@ pub fn helmholtz<R: Real>(
                     assert!(n >= 1);
                     numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
                         let l = li(i);
-                        let beta = lw.load(&tb[l..]);
+                        let beta = lw.load_at(&tb, l);
                         assert!(pivots_ok(beta), "zero pivot in tridiagonal solve (row 0)");
-                        (lw.load(&td[l..]) / beta).store(&mut td[l..]);
-                        (lw.load(&tc[l..]) / beta).store(&mut tscr[l..]);
+                        (lw.load_at(&td, l) / beta).store_at(&mut td, l);
+                        (lw.load_at(&tc, l) / beta).store_at(&mut tscr, l);
                     });
                     for kr in 1..n {
                         numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
                             let (l, lm) = (kr * nxs + li(i), (kr - 1) * nxs + li(i));
-                            let beta = lw.load(&tb[l..]) - lw.load(&ta[l..]) * lw.load(&tscr[lm..]);
+                            let beta =
+                                lw.load_at(&tb, l) - lw.load_at(&ta, l) * lw.load_at(&tscr, lm);
                             assert!(pivots_ok(beta), "zero pivot in tridiagonal solve");
-                            (lw.load(&tc[l..]) / beta).store(&mut tscr[l..]);
-                            ((lw.load(&td[l..]) - lw.load(&ta[l..]) * lw.load(&td[lm..])) / beta)
-                                .store(&mut td[l..]);
+                            (lw.load_at(&tc, l) / beta).store_at(&mut tscr, l);
+                            ((lw.load_at(&td, l) - lw.load_at(&ta, l) * lw.load_at(&td, lm))
+                                / beta)
+                                .store_at(&mut td, l);
                         });
                     }
                     for kr in (0..n - 1).rev() {
                         numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
                             let (l, lp) = (kr * nxs + li(i), (kr + 1) * nxs + li(i));
-                            let next = lw.load(&td[lp..]);
-                            (lw.load(&td[l..]) - lw.load(&tscr[l..]) * next).store(&mut td[l..]);
+                            let next = lw.load_at(&td, lp);
+                            (lw.load_at(&td, l) - lw.load_at(&tscr, l) * next).store_at(&mut td, l);
                         });
                     }
 
@@ -367,7 +369,7 @@ pub fn helmholtz<R: Real>(
                     {
                         let mut w_row = wv.row_mut(j, 0);
                         numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
-                            w_row.set_lanes(lw, i, lw.load(&w_surf[li(i)..]));
+                            w_row.set_lanes(lw, i, lw.load_at(&w_surf, li(i)));
                         });
                     }
                     {
@@ -379,7 +381,7 @@ pub fn helmholtz<R: Real>(
                     for kw in 1..nz {
                         let mut w_row = wv.row_mut(j, kw as isize);
                         numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
-                            w_row.set_lanes(lw, i, lw.load(&td[(kw - 1) * nxs + li(i)..]));
+                            w_row.set_lanes(lw, i, lw.load_at(&td, (kw - 1) * nxs + li(i)));
                         });
                     }
                 }

@@ -110,10 +110,10 @@ pub fn warm_rain<R: Real>(
                             out_qc[e] = out.qc;
                             out_qr[e] = out.qr;
                         }
-                        let o_th = lw.load(&out_th);
-                        let o_qv = lw.load(&out_qv);
-                        let o_qc = lw.load(&out_qc);
-                        let o_qr = lw.load(&out_qr);
+                        let o_th = lw.load_at(&out_th, 0);
+                        let o_qv = lw.load_at(&out_qv, 0);
+                        let o_qc = lw.load_at(&out_qc, 0);
+                        let o_qr = lw.load_at(&out_qr, 0);
                         let fac_new = lw.from_fn(|e| {
                             eos::theta_m_factor(o_qv.extract(e), o_qc.extract(e), o_qr.extract(e))
                         });
@@ -184,7 +184,7 @@ pub fn sediment<R: Real>(
                     let rho0_row = rhov.row(j, 0);
                     numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
                         (rho0_row.lanes(lw, i) / g_row.lanes(lw, i))
-                            .store(&mut rho_sfc_row[i as usize..]);
+                            .store_at(&mut rho_sfc_row, i as usize);
                     });
                 }
                 for kc in 0..nz {
@@ -197,7 +197,7 @@ pub fn sediment<R: Real>(
                         let vdtr = lw.splat(dtr);
                         let rho_phys = rho_row.lanes(lw, i) / g_row.lanes(lw, i);
                         let qr_s = (qr_row.lanes(lw, i) / rho_row.lanes(lw, i)).max(vzero);
-                        let rho_sfc = lw.load(&rho_sfc_row[i as usize..]);
+                        let rho_sfc = lw.load_at(&rho_sfc_row, i as usize);
                         let vt = lw.from_fn(|e| {
                             kessler::terminal_velocity(
                                 rho_phys.extract(e),
@@ -207,7 +207,7 @@ pub fn sediment<R: Real>(
                         });
                         let max_flux = qr_row.lanes(lw, i) * vdz / vdtr;
                         ((rho_phys * qr_s * vt).min(max_flux.max(vzero)))
-                            .store(&mut flux[kc * nxs + i as usize..]);
+                            .store_at(&mut flux, kc * nxs + i as usize);
                     });
                 }
                 for f in &mut flux[nz * nxs..] {
@@ -219,23 +219,23 @@ pub fn sediment<R: Real>(
                     numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
                         let vdtr = lw.splat(dtr);
                         let vinv_dz = lw.splat(inv_dz);
-                        let f_bottom = lw.load(&flux[kc * nxs + i as usize..]);
-                        let f_top = lw.load(&flux[(kc + 1) * nxs + i as usize..]);
+                        let f_bottom = lw.load_at(&flux, kc * nxs + i as usize);
+                        let f_top = lw.load_at(&flux, (kc + 1) * nxs + i as usize);
                         qr_row.add_lanes(lw, i, vdtr * (f_top - f_bottom) * vinv_dz);
                     });
                     let mut rho_row = rhov.row_mut(j, k);
                     numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
                         let vdtr = lw.splat(dtr);
                         let vinv_dz = lw.splat(inv_dz);
-                        let f_bottom = lw.load(&flux[kc * nxs + i as usize..]);
-                        let f_top = lw.load(&flux[(kc + 1) * nxs + i as usize..]);
+                        let f_bottom = lw.load_at(&flux, kc * nxs + i as usize);
+                        let f_top = lw.load_at(&flux, (kc + 1) * nxs + i as usize);
                         rho_row.add_lanes(lw, i, vdtr * (f_top - f_bottom) * vinv_dz);
                     });
                 }
                 let mut pr_row = prv.row_mut(j, 0);
                 numerics::x_walk!(R, lanes_on, 0..nx, |lw, i| {
                     let vdtr = lw.splat(dtr);
-                    pr_row.add_lanes(lw, i, vdtr * lw.load(&flux[i as usize..]));
+                    pr_row.add_lanes(lw, i, vdtr * lw.load_at(&flux, i as usize));
                 });
             }
         },

@@ -245,7 +245,7 @@ pub fn add_div_lin_theta<R: Real>(
                         let thu_m = vh * (thc0.lanes(lw, i - 1) + thc_c);
                         let thv_p = vh * (thc_c + thcjp1.lanes(lw, i));
                         let thv_m = vh * (thcjm1.lanes(lw, i) + thc_c);
-                        let inv_g = lw.load(&inv_g_row[i as usize..]);
+                        let inv_g = lw.load_at(&inv_g_row, i as usize);
                         let d = (thu_p * u0.lanes(lw, i) - thu_m * u0.lanes(lw, i - 1)) * vdx
                             + (thv_p * v0.lanes(lw, i) - thv_m * vjm1.lanes(lw, i)) * vdy
                             + (thw_kp.lanes(lw, i) * w_kp.lanes(lw, i)
@@ -331,7 +331,7 @@ pub fn continuity_residual<R: Real>(
                         let dh = (u0.lanes(lw, i) - u0.lanes(lw, i - 1)) * vdx
                             + (v0.lanes(lw, i) - vjm1.lanes(lw, i)) * vdy;
                         let full = dh + (mw_kp.lanes(lw, i) - mw_k.lanes(lw, i)) * vdz;
-                        let inv_g = lw.load(&inv_g_row[i as usize..]);
+                        let inv_g = lw.load_at(&inv_g_row, i as usize);
                         let lin = dh + (w_kp.lanes(lw, i) - w_k.lanes(lw, i)) * inv_g * vdz;
                         f_row.add_lanes(lw, i, -full);
                         f_row.add_lanes(lw, i, lin);

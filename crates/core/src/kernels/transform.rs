@@ -332,7 +332,7 @@ pub fn mass_flux_w<R: Real>(
                                 + vh * (vy(&v_jm1_km1, &v_0_km1, vfac_lo)
                                     + vy(&v_jm1_k, &v_0_k, vfac_hi))
                         };
-                        let inv_g = lw.load(&inv_g_row[(i + 1) as usize..]);
+                        let inv_g = lw.load_at(&inv_g_row, (i + 1) as usize);
                         mw_row.set_lanes(lw, i, (wk - cross) * inv_g);
                     });
                 }

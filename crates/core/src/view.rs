@@ -142,7 +142,7 @@ impl<'a, R: Real> Row<'a, R> {
     #[inline(always)]
     pub fn lanes<L: Lane<R>>(&self, _w: Width<R, L>, i: isize) -> L {
         let idx = row_idx(i, self.h, self.d.len() + 1 - L::N);
-        L::load(&self.d[idx..])
+        L::load_at(self.d, idx)
     }
 }
 
@@ -176,14 +176,14 @@ impl<'a, R: Real> RowMut<'a, R> {
     #[inline(always)]
     pub fn lanes<L: Lane<R>>(&self, _w: Width<R, L>, i: isize) -> L {
         let idx = row_idx(i, self.h, self.d.len() + 1 - L::N);
-        L::load(&self.d[idx..])
+        L::load_at(self.d, idx)
     }
 
     /// Lane store of `L::N` consecutive values starting at `i`.
     #[inline(always)]
     pub fn set_lanes<L: Lane<R>>(&mut self, _w: Width<R, L>, i: isize, v: L) {
         let idx = row_idx(i, self.h, self.d.len() + 1 - L::N);
-        v.store(&mut self.d[idx..]);
+        v.store_at(self.d, idx);
     }
 
     /// Lane read-modify-write `+=`: each lane performs the identical
@@ -191,8 +191,8 @@ impl<'a, R: Real> RowMut<'a, R> {
     #[inline(always)]
     pub fn add_lanes<L: Lane<R>>(&mut self, _w: Width<R, L>, i: isize, v: L) {
         let idx = row_idx(i, self.h, self.d.len() + 1 - L::N);
-        let cur = L::load(&self.d[idx..]);
-        (cur + v).store(&mut self.d[idx..]);
+        let cur = L::load_at(self.d, idx);
+        (cur + v).store_at(self.d, idx);
     }
 }
 

@@ -83,8 +83,9 @@ impl Limiter {
 ///
 /// For `vel >= 0` across face i+1/2 call with
 /// `(q[i-1], q[i], q[i+1])`; for `vel < 0` call with `(q[i+2], q[i+1], q[i])`.
-/// Lane-wise for a lane `L`; the eps guard on the downwind gradient is
-/// two cheap eager selects.
+/// Lane-wise for a lane `L`. The eps guard on the downwind gradient is
+/// a cold select: width 1 branches on it, as a hand-written scalar guard
+/// would, rather than route every divisor through a select.
 #[inline(always)]
 pub fn limited_face_value<R: Real, L: Lane<R>>(lim: Limiter, qm1: L, q0: L, qp1: L) -> L {
     let dq_dn = qp1 - q0; // downwind gradient
@@ -92,8 +93,13 @@ pub fn limited_face_value<R: Real, L: Lane<R>>(lim: Limiter, qm1: L, q0: L, qp1:
                           // Ratio r = upwind / downwind gradient; guard the zero-gradient case.
     let zero = L::splat(R::ZERO);
     let eps = L::splat(R::from_f64(1e-30));
-    let signed_eps = L::select_ge(dq_dn, zero, eps, -eps);
-    let denom = L::select_lt(dq_dn.abs(), eps, signed_eps, dq_dn);
+    let denom = L::select_lt_cold(
+        dq_dn.abs(),
+        eps,
+        #[inline(always)]
+        || L::select_ge(dq_dn, zero, eps, -eps),
+        dq_dn,
+    );
     let r = dq_up / denom;
     q0 + L::splat(R::HALF) * lim.phi(r) * dq_dn
 }

@@ -16,10 +16,10 @@
 //! `L: Lane<R>`, and run at both widths: [`x_walk!`](crate::x_walk)
 //! runs `R::Lane` while a whole lane fits in the row, then the same body
 //! at width 1 for the remainder (`ASUCA_SIMD=0` runs the whole row at
-//! width 1). Inside
-//! the walk the lane type is reached through a zero-sized [`Width`]
-//! token (`lw.splat(x)`, `lw.load(slice)`, `row.lanes(lw, i)`), because a
-//! block cannot name the type a macro chose for it.
+//! width 1). Inside the walk the lane type is reached through a
+//! zero-sized [`Width`] token (`lw.splat(x)`, `lw.load_at(slice, at)`,
+//! `row.lanes(lw, i)`), because a block cannot name the type a macro
+//! chose for it.
 //!
 //! ## The bit-identity rule
 //!
@@ -34,14 +34,18 @@
 //!
 //! ## Selects: eager or lazy
 //!
-//! [`Lane::select_ge`] / [`Lane::select_lt`] take both sides as values:
-//! use them when both sides are cheap (a constant, an operand). When a
+//! [`Lane::select_ge`] takes both sides as values: use it when both
+//! sides are cheap (a constant, an operand). When a
 //! side is expensive — the two upwind reconstructions of
 //! [`limited_flux`](crate::limiter::limited_flux) — use
 //! [`Lane::select_ge_with`], which takes both sides as closures: a
 //! 4-wide lane evaluates both and selects, a width-1 lane branches and
 //! evaluates only the taken side, so the scalar walk pays for one side
-//! as a hand-written scalar branch would.
+//! as a hand-written scalar branch would. A guard whose one side is the
+//! exception (the limiter's near-zero divisor) uses
+//! [`Lane::select_lt_cold`]: width 1 keeps it a branch, where LLVM would
+//! otherwise turn the cheap sides into a branchless select in front of
+//! the divide.
 //!
 //! ## How the lanes get wide
 //!
@@ -97,8 +101,11 @@ pub trait Lane<R: Real>:
     fn from_fn(f: impl FnMut(usize) -> R) -> Self;
     /// Unaligned load of the first `N` elements of `src`.
     fn load(src: &[R]) -> Self;
-    /// Unaligned store into the first `N` elements of `dst`.
-    fn store(self, dst: &mut [R]);
+    /// Load of the `N` elements of `src` starting at `at` (at width 1
+    /// the plain index `src[at]`, one bounds check).
+    fn load_at(src: &[R], at: usize) -> Self;
+    /// Store into the `N` elements of `dst` starting at `at`.
+    fn store_at(self, dst: &mut [R], at: usize);
     /// Read one lane.
     fn extract(self, lane: usize) -> R;
     /// Apply a scalar function per lane (lane order 0..N) — used for
@@ -117,13 +124,17 @@ pub trait Lane<R: Real>:
     /// Per lane: `if a >= b { x } else { y }` — the branchless form of a
     /// scalar `>=` branch whose both sides are pure values.
     fn select_ge(a: Self, b: Self, x: Self, y: Self) -> Self;
-    /// Per lane: `if a < b { x } else { y }`.
-    fn select_lt(a: Self, b: Self, x: Self, y: Self) -> Self;
     /// Lazy [`select_ge`](Self::select_ge) for expensive sides: a wide
     /// lane evaluates `x` then `y` and selects; width 1 branches and
     /// evaluates only the taken side. The sides must be pure.
     fn select_ge_with(a: Self, b: Self, x: impl FnOnce() -> Self, y: impl FnOnce() -> Self)
         -> Self;
+    /// Per lane: `if a < b { x } else { y }`, for a guard whose `a < b`
+    /// side is the exception (e.g. a near-zero divisor). A wide lane
+    /// evaluates `x` and selects; width 1 branches with `x` marked cold,
+    /// so the usual path pays one compare-and-branch instead of a
+    /// branchless select feeding the value.
+    fn select_lt_cold(a: Self, b: Self, x: impl FnOnce() -> Self, y: Self) -> Self;
 }
 
 /// Every scalar is a lane of width 1: each op is the scalar op itself,
@@ -144,8 +155,12 @@ impl<R: Real> Lane<R> for R {
         src[0]
     }
     #[inline(always)]
-    fn store(self, dst: &mut [R]) {
-        dst[0] = self;
+    fn load_at(src: &[R], at: usize) -> Self {
+        src[at]
+    }
+    #[inline(always)]
+    fn store_at(self, dst: &mut [R], at: usize) {
+        dst[at] = self;
     }
     #[inline(always)]
     fn extract(self, lane: usize) -> R {
@@ -185,14 +200,6 @@ impl<R: Real> Lane<R> for R {
         }
     }
     #[inline(always)]
-    fn select_lt(a: Self, b: Self, x: Self, y: Self) -> Self {
-        if a < b {
-            x
-        } else {
-            y
-        }
-    }
-    #[inline(always)]
     fn select_ge_with(
         a: Self,
         b: Self,
@@ -203,6 +210,15 @@ impl<R: Real> Lane<R> for R {
             x()
         } else {
             y()
+        }
+    }
+    #[inline(always)]
+    fn select_lt_cold(a: Self, b: Self, x: impl FnOnce() -> Self, y: Self) -> Self {
+        if a < b {
+            std::hint::cold_path();
+            x()
+        } else {
+            y
         }
     }
 }
@@ -293,8 +309,12 @@ macro_rules! lane_common {
                 $name(*s)
             }
             #[inline(always)]
-            fn store(self, dst: &mut [$elem]) {
-                dst[..LANES].copy_from_slice(&self.0);
+            fn load_at(src: &[$elem], at: usize) -> Self {
+                <Self as Lane<$elem>>::load(&src[at..])
+            }
+            #[inline(always)]
+            fn store_at(self, dst: &mut [$elem], at: usize) {
+                dst[at..][..LANES].copy_from_slice(&self.0);
             }
             #[inline(always)]
             fn extract(self, lane: usize) -> $elem {
@@ -329,10 +349,6 @@ macro_rules! lane_common {
                 <Self as Lane<$elem>>::from_fn(|l| if a.0[l] >= b.0[l] { x.0[l] } else { y.0[l] })
             }
             #[inline(always)]
-            fn select_lt(a: Self, b: Self, x: Self, y: Self) -> Self {
-                <Self as Lane<$elem>>::from_fn(|l| if a.0[l] < b.0[l] { x.0[l] } else { y.0[l] })
-            }
-            #[inline(always)]
             fn select_ge_with(
                 a: Self,
                 b: Self,
@@ -341,6 +357,11 @@ macro_rules! lane_common {
             ) -> Self {
                 let (x, y) = (x(), y());
                 <Self as Lane<$elem>>::select_ge(a, b, x, y)
+            }
+            #[inline(always)]
+            fn select_lt_cold(a: Self, b: Self, x: impl FnOnce() -> Self, y: Self) -> Self {
+                let x = x();
+                <Self as Lane<$elem>>::from_fn(|l| if a.0[l] < b.0[l] { x.0[l] } else { y.0[l] })
             }
         }
     };
@@ -384,8 +405,8 @@ pub fn default_enabled() -> bool {
 ///
 /// A walk body is a block expanded once per width, and a block cannot
 /// name the type the macro chose for it; the token carries it instead,
-/// so `lw.splat(x)`, `lw.load(slice)` and `row.lanes(lw, i)` produce `L`
-/// values and type inference does the rest.
+/// so `lw.splat(x)`, `lw.load_at(slice, at)` and `row.lanes(lw, i)`
+/// produce `L` values and type inference does the rest.
 #[derive(Clone, Copy)]
 pub struct Width<R, L>(PhantomData<fn() -> (R, L)>);
 
@@ -404,10 +425,10 @@ impl<R: Real, L: Lane<R>> Width<R, L> {
     pub fn splat(self, x: R) -> L {
         L::splat(x)
     }
-    /// [`Lane::load`] at this width.
+    /// [`Lane::load_at`] at this width.
     #[inline(always)]
-    pub fn load(self, src: &[R]) -> L {
-        L::load(src)
+    pub fn load_at(self, src: &[R], at: usize) -> L {
+        L::load_at(src, at)
     }
     /// [`Lane::from_fn`] at this width.
     #[inline(always)]
@@ -602,8 +623,8 @@ mod tests {
         max_min_match_scalar::<f32, f32>();
     }
 
-    /// The width-1 lazy select is the scalar branch: only the taken side
-    /// runs. The wide lane runs both sides, once each.
+    /// The width-1 lazy selects are the scalar branch: only the taken
+    /// side runs. The wide lane runs both sides, once each.
     #[test]
     fn lazy_select_evaluates_only_the_taken_side_at_width_one() {
         use std::cell::Cell;
@@ -628,6 +649,16 @@ mod tests {
         let v = F64x4::select_ge_with(a, b, || F64x4::splat(x()), || F64x4::splat(y()));
         assert_eq!(v.0, [10.0, -10.0, 10.0, -10.0]);
         assert_eq!((xs.get(), ys.get()), (3, 2));
+
+        // The cold select's `x` side, too, runs at width 1 only when
+        // taken (equal operands are not `<`).
+        assert_eq!(<f64 as Lane<f64>>::select_lt_cold(1.0, 2.0, x, -10.0), 10.0);
+        assert_eq!(xs.get(), 4);
+        assert_eq!(
+            <f64 as Lane<f64>>::select_lt_cold(2.0, 2.0, x, -10.0),
+            -10.0
+        );
+        assert_eq!(xs.get(), 4);
     }
 
     #[test]
@@ -640,12 +671,12 @@ mod tests {
             let ge = if a[l] >= b[l] { 10.0 } else { -10.0 };
             let lt = if a[l] < b[l] { 10.0 } else { -10.0 };
             assert_eq!(F64x4::select_ge(va, vb, x, y).0[l], ge);
-            assert_eq!(F64x4::select_lt(va, vb, x, y).0[l], lt);
+            assert_eq!(F64x4::select_lt_cold(va, vb, || x, y).0[l], lt);
         }
         // Equal operands take the scalar `>=` branch.
         let z = F64x4::splat(2.0);
         assert_eq!(F64x4::select_ge(z, z, x, y).0[0], 10.0);
-        assert_eq!(F64x4::select_lt(z, z, x, y).0[0], -10.0);
+        assert_eq!(F64x4::select_lt_cold(z, z, || x, y).0[0], -10.0);
     }
 
     #[test]
@@ -654,7 +685,7 @@ mod tests {
         let v = F64x4::load(&src[3..]);
         assert_eq!(v.0, [1.5, 2.0, 2.5, 3.0]);
         let mut dst = [0.0f64; 10];
-        v.store(&mut dst[2..]);
+        v.store_at(&mut dst, 2);
         assert_eq!(&dst[2..6], &[1.5, 2.0, 2.5, 3.0]);
         assert_eq!(dst[6], 0.0);
         assert_eq!(v.extract(2), 2.5);
@@ -686,8 +717,8 @@ mod tests {
                 let mut widths = Vec::new();
                 crate::x_walk!(f64, lanes_on, 1..hi, |lw, i| {
                     let v = lw.from_fn(|e| (i + e as isize) as f64);
-                    let cur = lw.load(&out[i as usize..]);
-                    (cur + v).store(&mut out[i as usize..]);
+                    let cur = lw.load_at(&out, i as usize);
+                    (cur + v).store_at(&mut out, i as usize);
                     widths.push(lw.n());
                 });
                 for (i, &o) in out.iter().enumerate() {

@@ -91,19 +91,33 @@ fn assert_states_identical(base: &dycore::State, other: &dycore::State, label: &
 #[test]
 fn thread_count_and_simd_never_change_results_or_simulated_time() {
     // 16 is a multiple of the lane width; 18 leaves a width-1 remainder
-    // of 2 in every interior row.
-    for grid in [(16, 12, 10), (18, 12, 10)] {
-        threads_by_simd_matrix::<f64>(grid);
-        threads_by_simd_matrix::<f32>(grid);
+    // of 2 in every interior row. The checksums of the single-threaded
+    // width-1 base runs were recorded from the hand-written scalar
+    // loops that preceded the shared kernel bodies, so a change to a
+    // body that moves bits at every width still fails here. They hold
+    // for x86-64 Linux; another libm may round `powf`/`exp` differently.
+    for (grid, sum_f64, sum_f32) in [
+        ((16, 12, 10), 0xe93f_fef3_d609_a53d, 0xc60f_80bf_82a0_a8b9),
+        ((18, 12, 10), 0x31c5_3f84_b680_41f0, 0xb7ba_7684_f1a3_dba5),
+    ] {
+        threads_by_simd_matrix::<f64>(grid, sum_f64);
+        threads_by_simd_matrix::<f32>(grid, sum_f32);
     }
 }
 
 /// Full matrix: threads {1, 2, 3, 8} × SIMD {off, on}, all against the
-/// single-threaded width-1 walk, in precision `R`.
-fn threads_by_simd_matrix<R: Real>(grid: (usize, usize, usize)) {
+/// single-threaded width-1 walk, in precision `R`, whose state must
+/// hash to `base_checksum`.
+fn threads_by_simd_matrix<R: Real>(grid: (usize, usize, usize), base_checksum: u64) {
     let steps = 12;
     let (base, t1) = run_with::<R>(grid, 1, false, steps);
     assert_eq!(base.find_non_finite(), None);
+    assert_eq!(
+        state_checksum(&base),
+        base_checksum,
+        "{} {grid:?} base run moved off its recorded bits",
+        R::PRECISION
+    );
     for threads in [1, 2, 3, 8] {
         for simd in [false, true] {
             if threads == 1 && !simd {
