@@ -8,8 +8,9 @@
 //!
 //! A third variant runs the SIMD x-walk (lane loads at the same ±1/±2
 //! offsets, the same body at width 1 for each row's remainder, inside an
-//! AVX2+FMA `#[target_feature]` twin) — the inner loop used by the
-//! Functional kernels when `ASUCA_SIMD` is on.
+//! AVX2+FMA `#[target_feature]` twin), as the Functional kernels run
+//! when `ASUCA_SIMD` is on. All three compute both faces per cell; the
+//! kernels themselves now compute each face once (DESIGN.md §9).
 //!
 //! All variants run the same Koren-limited advection stencil on the
 //! same data single-threaded; identical results are asserted bitwise
@@ -134,8 +135,9 @@ fn advect_at(f: &Fields, out: &mut [f64]) {
     }
 }
 
-/// The row-cursor inner loop, as now used by
-/// `asuca_gpu::kernels::advection::advect_scalar`.
+/// The row-cursor inner loop, as
+/// `asuca_gpu::kernels::advection::advect_scalar` ran it before its
+/// faces were computed once.
 fn advect_rows(f: &Fields, out: &mut [f64]) {
     let s = V3::new(&f.spec, f.dc);
     let uu = V3::new(&f.u, f.dc);

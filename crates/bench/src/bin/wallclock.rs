@@ -1,7 +1,9 @@
 //! Wall-clock trajectory of the Functional backend: full mountain-wave
 //! steps at 64×64×32 and 320×256×48, at host threads 1 and max, with the
-//! SIMD x-walks off and on, written to `BENCH_wallclock.json` at the
-//! repository root.
+//! SIMD x-walks off and on, merged into `BENCH_wallclock.json` at the
+//! repository root: a row is keyed by (case, nx, ny, nz, threads, simd),
+//! a new row replaces the file's row of the same key, and rows this run
+//! did not measure are kept.
 //!
 //! This is the *other* clock of the repository: the simulated GT200
 //! seconds (reported by the fig* harnesses) must be bit-identical
@@ -23,8 +25,9 @@ use std::path::PathBuf;
 use std::time::Instant;
 use vgpu::{DeviceSpec, ExecMode};
 
+#[derive(Debug, Clone, PartialEq)]
 struct Case {
-    label: &'static str,
+    label: String,
     nx: usize,
     ny: usize,
     nz: usize,
@@ -42,9 +45,26 @@ fn env_steps(var: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+impl Case {
+    fn key(&self) -> (&str, usize, usize, usize, usize, bool) {
+        (
+            &self.label,
+            self.nx,
+            self.ny,
+            self.nz,
+            self.threads,
+            self.simd,
+        )
+    }
+
+    fn per_step(&self) -> f64 {
+        self.wall_s / self.steps as f64
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_case(
-    label: &'static str,
+    label: &str,
     nx: usize,
     ny: usize,
     nz: usize,
@@ -70,7 +90,7 @@ fn run_case(
         wall_s / steps as f64
     );
     Case {
-        label,
+        label: label.to_string(),
         nx,
         ny,
         nz,
@@ -82,10 +102,9 @@ fn run_case(
     }
 }
 
-/// Pull `(wall_seconds_per_step, simulated_seconds)` for one case out
-/// of the committed BENCH_wallclock.json (line-oriented scan; the file
-/// is written by this binary, one case object per line).
-fn baseline_case(json: &str, label: &str, threads: usize, simd: bool) -> Option<(f64, f64)> {
+/// The case rows of a BENCH_wallclock.json (line-oriented scan; the
+/// file is written by this binary, one case object per line).
+fn parse_cases(json: &str) -> Vec<Case> {
     let field = |line: &str, key: &str| -> Option<String> {
         let idx = line.find(&format!("\"{key}\": "))?;
         let rest = &line[idx + key.len() + 4..];
@@ -96,21 +115,49 @@ fn baseline_case(json: &str, label: &str, threads: usize, simd: bool) -> Option<
                 .collect(),
         )
     };
-    for line in json.lines() {
-        if !line.trim_start().starts_with("{\"case\":") {
-            continue;
-        }
-        if field(line, "case").as_deref() == Some(label)
-            && field(line, "threads")? == threads.to_string()
-            && field(line, "simd")? == simd.to_string()
-        {
-            return Some((
-                field(line, "wall_seconds_per_step")?.parse().ok()?,
-                field(line, "simulated_seconds")?.parse().ok()?,
-            ));
+    let case = |line: &str| -> Option<Case> {
+        let num = |key| field(line, key)?.parse::<usize>().ok();
+        let real = |key| field(line, key)?.parse::<f64>().ok();
+        Some(Case {
+            label: field(line, "case")?,
+            nx: num("nx")?,
+            ny: num("ny")?,
+            nz: num("nz")?,
+            steps: num("steps")?,
+            threads: num("threads")?,
+            simd: field(line, "simd")?.parse().ok()?,
+            wall_s: real("wall_seconds")?,
+            sim_s: real("simulated_seconds")?,
+        })
+    };
+    json.lines()
+        .filter(|l| l.trim_start().starts_with("{\"case\":"))
+        .filter_map(case)
+        .collect()
+}
+
+/// `old` with each row of `new` merged in by key: a row of the same key
+/// is replaced in place, a row of a new key is appended.
+fn merge(mut old: Vec<Case>, new: &[Case]) -> Vec<Case> {
+    for c in new {
+        match old.iter_mut().find(|o| o.key() == c.key()) {
+            Some(o) => *o = c.clone(),
+            None => old.push(c.clone()),
         }
     }
-    None
+    old
+}
+
+const LARGE: &str = "mountain_wave_320x256x48";
+
+/// Per-step wall-time ratio of the large-grid rows `(threads, simd)`
+/// `slow` over `fast`, when `rows` hold both.
+fn large_speedup(rows: &[Case], slow: (usize, bool), fast: (usize, bool)) -> Option<f64> {
+    let find = |(threads, simd)| {
+        rows.iter()
+            .find(|c| c.label == LARGE && c.threads == threads && c.simd == simd)
+    };
+    Some(find(slow)?.per_step() / find(fast)?.per_step())
 }
 
 fn results_path() -> PathBuf {
@@ -143,7 +190,7 @@ fn main() {
             32usize,
             steps_small,
         ),
-        ("mountain_wave_320x256x48", 320, 256, 48, steps_large),
+        (LARGE, 320, 256, 48, steps_large),
     ] {
         if steps == 0 {
             continue;
@@ -174,38 +221,24 @@ fn main() {
     // Perf gates at the large grid. Multi-core hosts must see the pool
     // win; hosts with the vector ISA must see the lane walk win over the
     // scalar walk at equal thread count.
-    let large: Vec<&Case> = cases
-        .iter()
-        .filter(|c| c.label == "mountain_wave_320x256x48")
-        .collect();
-    let simd_speedup = large
-        .iter()
-        .find(|c| c.threads == 1 && !c.simd)
-        .zip(large.iter().find(|c| c.threads == 1 && c.simd))
-        .map(|(s, v)| {
-            let sp = s.wall_s / v.wall_s;
-            eprintln!("320x256x48 speedup simd on vs off (threads 1): {sp:.2}x");
-            if simd_native {
-                assert!(
-                    sp > 1.0,
-                    "lane walk slower than scalar walk at 320x256x48 ({sp:.2}x)"
-                );
-            }
-            sp
-        });
-    let thread_speedup = large
-        .iter()
-        .find(|c| c.threads == 1 && c.simd == run_lanes)
-        .zip(large.iter().find(|c| c.threads == max && max > 1))
-        .map(|(s, p)| {
-            let sp = s.wall_s / p.wall_s;
-            eprintln!("320x256x48 speedup threads {max} vs 1 (simd={run_lanes}): {sp:.2}x");
+    let simd_pair = ((1, false), (1, true));
+    let pool_pair = ((1, run_lanes), (max, run_lanes));
+    if let Some(sp) = large_speedup(&cases, simd_pair.0, simd_pair.1) {
+        eprintln!("320x256x48 speedup simd on vs off (threads 1): {sp:.2}x");
+        if simd_native {
             assert!(
                 sp > 1.0,
-                "pooled path slower than single-threaded at 320x256x48 ({sp:.2}x)"
+                "lane walk slower than scalar walk at 320x256x48 ({sp:.2}x)"
             );
-            sp
-        });
+        }
+    }
+    if let Some(sp) = large_speedup(&cases, pool_pair.0, pool_pair.1).filter(|_| max > 1) {
+        eprintln!("320x256x48 speedup threads {max} vs 1 (simd={run_lanes}): {sp:.2}x");
+        assert!(
+            sp > 1.0,
+            "pooled path slower than single-threaded at 320x256x48 ({sp:.2}x)"
+        );
+    }
 
     // Regression gate for the robustness layer: with injection,
     // checkpointing and guard scans all disabled, the fault machinery
@@ -216,11 +249,15 @@ fn main() {
     // file's printed precision.
     if let Ok(v) = std::env::var("ASUCA_WALLCLOCK_ASSERT_BASELINE") {
         let tol_pct: f64 = v.parse().ok().filter(|p| *p > 1.0).unwrap_or(3.0);
-        let baseline = std::fs::read_to_string(results_path())
-            .expect("baseline assert needs a committed BENCH_wallclock.json");
+        let baseline = parse_cases(
+            &std::fs::read_to_string(results_path())
+                .expect("baseline assert needs a committed BENCH_wallclock.json"),
+        );
         for c in &cases {
-            let Some((base_per_step, base_sim)) =
-                baseline_case(&baseline, c.label, c.threads, c.simd)
+            let Some((base_per_step, base_sim)) = baseline
+                .iter()
+                .find(|b| b.label == c.label && b.threads == c.threads && b.simd == c.simd)
+                .map(|b| (b.per_step(), b.sim_s))
             else {
                 eprintln!(
                     "no baseline case for {} threads={} simd={} — skipping",
@@ -228,7 +265,7 @@ fn main() {
                 );
                 continue;
             };
-            let per_step = c.wall_s / c.steps as f64;
+            let per_step = c.per_step();
             let overhead_pct = (per_step / base_per_step - 1.0) * 100.0;
             eprintln!(
                 "{} threads={} simd={}: {per_step:.4} s/step vs baseline {base_per_step:.4} ({overhead_pct:+.1}%)",
@@ -248,6 +285,15 @@ fn main() {
         }
     }
 
+    // Merge into the file's rows, so a run of one grid keeps the other
+    // grid's rows.
+    let path = results_path();
+    let rows = merge(
+        parse_cases(&std::fs::read_to_string(&path).unwrap_or_default()),
+        &cases,
+    );
+    let simd_speedup = large_speedup(&rows, simd_pair.0, simd_pair.1);
+    let thread_speedup = large_speedup(&rows, pool_pair.0, pool_pair.1).filter(|_| max > 1);
     let fmt_opt = |o: Option<f64>| o.map_or("null".to_string(), |s| format!("{s:.4}"));
     let mut json = String::new();
     json.push_str("{\n");
@@ -264,18 +310,69 @@ fn main() {
         fmt_opt(thread_speedup)
     );
     json.push_str("  \"cases\": [\n");
-    for (n, c) in cases.iter().enumerate() {
-        let sep = if n + 1 < cases.len() { "," } else { "" };
+    for (n, c) in rows.iter().enumerate() {
+        let sep = if n + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
             "    {{\"case\": \"{}\", \"nx\": {}, \"ny\": {}, \"nz\": {}, \"steps\": {}, \"threads\": {}, \"simd\": {}, \"wall_seconds\": {:.6}, \"wall_seconds_per_step\": {:.6}, \"simulated_seconds\": {:.6}}}{sep}",
             c.label, c.nx, c.ny, c.nz, c.steps, c.threads, c.simd, c.wall_s,
-            c.wall_s / c.steps as f64, c.sim_s
+            c.per_step(), c.sim_s
         );
     }
     json.push_str("  ]\n}\n");
 
-    let path = results_path();
     std::fs::write(&path, &json).expect("failed to write BENCH_wallclock.json");
     println!("wrote {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(label: &str, threads: usize, simd: bool, wall_s: f64) -> Case {
+        Case {
+            label: label.to_string(),
+            nx: 64,
+            ny: 64,
+            nz: 32,
+            steps: 2,
+            threads,
+            simd,
+            wall_s,
+            sim_s: 0.25,
+        }
+    }
+
+    /// A new row replaces the row of its key in place, a new key is
+    /// appended, and rows the run did not measure survive.
+    #[test]
+    fn rows_merge_by_key() {
+        let old = vec![
+            row("a", 1, false, 1.0),
+            row("a", 1, true, 2.0),
+            row(LARGE, 1, false, 3.0),
+        ];
+        let new = [row("a", 1, true, 5.0), row("a", 2, true, 6.0)];
+        let merged = merge(old, &new);
+        assert_eq!(
+            merged,
+            vec![
+                row("a", 1, false, 1.0),
+                row("a", 1, true, 5.0),
+                row(LARGE, 1, false, 3.0),
+                row("a", 2, true, 6.0),
+            ]
+        );
+    }
+
+    /// The committed file parses back into its rows, which the baseline
+    /// assert and the merge both read.
+    #[test]
+    fn committed_rows_parse() {
+        let json = include_str!("../../../../BENCH_wallclock.json");
+        let rows = parse_cases(json);
+        assert_eq!(rows.len(), json.matches("{\"case\":").count());
+        assert!(rows.iter().all(|c| c.steps > 0 && c.wall_s > 0.0));
+        assert_eq!(merge(rows.clone(), &rows), rows);
+    }
 }

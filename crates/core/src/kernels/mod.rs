@@ -11,7 +11,6 @@ pub mod pgf;
 pub mod physics;
 pub mod region;
 pub mod tend;
-pub mod tiled;
 pub mod transform;
 
 pub use region::{launch_cfg, Rect, Region};

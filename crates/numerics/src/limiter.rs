@@ -107,19 +107,20 @@ pub fn limited_face_value<R: Real, L: Lane<R>>(lim: Limiter, qm1: L, q0: L, qp1:
 /// Upwind flux across a face with normal velocity `vel` (positive toward
 /// increasing index). `qm1, q0, qp1, qp2` are the four stencil cells in
 /// increasing-index order around the face between `q0` and `qp1`.
-/// Lane-wise for a lane `L`: the upwind choice is a lazy select, so a
-/// width-1 lane reconstructs only the upwind side. The sides are forced
-/// inline: an outlined side would be called up to six times per point
-/// and keep the limiter `match` inside the kernel loop.
+/// Lane-wise for a lane `L`: each lane selects its upwind stencil and
+/// one reconstruction runs ([`Lane::select_ge_then`]), so a face costs
+/// one divide; a width-1 lane branches on the sign instead. The
+/// reconstruction is forced inline: an outlined one would be called per
+/// face and keep the limiter `match` inside the kernel loop.
 #[inline(always)]
 pub fn limited_flux<R: Real, L: Lane<R>>(lim: Limiter, vel: L, qm1: L, q0: L, qp1: L, qp2: L) -> L {
-    L::select_ge_with(
+    L::select_ge_then(
         vel,
         L::splat(R::ZERO),
+        [qm1, q0, qp1],
+        [qp2, qp1, q0],
         #[inline(always)]
-        || vel * limited_face_value(lim, qm1, q0, qp1),
-        #[inline(always)]
-        || vel * limited_face_value(lim, qp2, qp1, q0),
+        |[up, c, dn]| vel * limited_face_value(lim, up, c, dn),
     )
 }
 
@@ -291,6 +292,76 @@ mod tests {
     fn lane_flux_bitwise_matches_scalar_flux() {
         wide_matches_width_one::<f64>();
         wide_matches_width_one::<f32>();
+    }
+
+    /// The flux as it was first written: both upwind reconstructions,
+    /// then a per-lane select of the flux.
+    fn two_sided_flux<R: Real, L: Lane<R>>(
+        lim: Limiter,
+        vel: L,
+        qm1: L,
+        q0: L,
+        qp1: L,
+        qp2: L,
+    ) -> L {
+        let fwd = vel * limited_face_value(lim, qm1, q0, qp1);
+        let back = vel * limited_face_value(lim, qp2, qp1, q0);
+        L::select_ge(vel, L::splat(R::ZERO), fwd, back)
+    }
+
+    /// Selecting the upwind stencil and reconstructing once gives the
+    /// two-sided flux to the last bit, at width `L::N`, for every
+    /// limiter, both wind signs, signed zeros, a tiny and a NaN wind,
+    /// and NaN/±Inf in the cell only the discarded side reads.
+    fn stencil_select_matches_two_sided<R: Real, L: Lane<R>>() {
+        let vals = [0.0, 1.0, -2.5, 4.0e-31, 3.25].map(R::from_f64);
+        let wild = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(R::from_f64);
+        let vels = [2.0, -2.0, 0.0, -0.0, 1.0e-12, f64::NAN].map(R::from_f64);
+        // Every (qm1, q0, qp1) of `vals`, and in the fourth cell a value
+        // or, when only the other wind reads it, a NaN or an infinity.
+        let mut stencils = Vec::new();
+        for &a in &vals {
+            for &b in &vals {
+                for &c in &vals {
+                    for &d in vals.iter().chain(&wild) {
+                        stencils.push([a, b, c, d]);
+                    }
+                }
+            }
+        }
+        let n = stencils.len();
+        for lim in ALL {
+            for (v, &vel) in vels.iter().enumerate() {
+                for f in (0..n).step_by(L::N) {
+                    // Lane l takes the wind of `vels` rotated by l, so
+                    // both signs meet inside one wide lane; a wind that
+                    // reads the wild cell sees the stencil mirrored, so
+                    // the wild value is always on the discarded side.
+                    let lane = |l: usize| {
+                        let w = vels[(v + l) % vels.len()];
+                        let q = stencils[(f + l) % n];
+                        let fwd = w.to_f64() >= 0.0;
+                        (w, if fwd { q } else { [q[3], q[2], q[1], q[0]] })
+                    };
+                    let ld = |m: usize| L::from_fn(|l| lane(l).1[m]);
+                    let w = L::from_fn(|l| lane(l).0);
+                    let new = limited_flux(lim, w, ld(0), ld(1), ld(2), ld(3));
+                    let old = two_sided_flux(lim, w, ld(0), ld(1), ld(2), ld(3));
+                    for l in 0..L::N {
+                        let what = format!("{} vel {vel} stencil {:?}", lim.name(), lane(l));
+                        assert_eq!(bits(new.extract(l)), bits(old.extract(l)), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stencil_select_flux_bitwise_matches_two_sided_flux() {
+        stencil_select_matches_two_sided::<f64, f64>();
+        stencil_select_matches_two_sided::<f64, <f64 as Real>::Lane>();
+        stencil_select_matches_two_sided::<f32, f32>();
+        stencil_select_matches_two_sided::<f32, <f32 as Real>::Lane>();
     }
 
     #[test]

@@ -35,13 +35,13 @@
 //! ## Selects: eager or lazy
 //!
 //! [`Lane::select_ge`] takes both sides as values: use it when both
-//! sides are cheap (a constant, an operand). When a
-//! side is expensive — the two upwind reconstructions of
+//! sides are cheap (a constant, an operand). When the choice picks the
+//! operands of an expensive function — the upwind stencil of
 //! [`limited_flux`](crate::limiter::limited_flux) — use
-//! [`Lane::select_ge_with`], which takes both sides as closures: a
-//! 4-wide lane evaluates both and selects, a width-1 lane branches and
-//! evaluates only the taken side, so the scalar walk pays for one side
-//! as a hand-written scalar branch would. A guard whose one side is the
+//! [`Lane::select_ge_then`]: a 4-wide lane selects the operands per lane
+//! and evaluates the function once, a width-1 lane branches and
+//! evaluates it on the taken operands only, as a hand-written scalar
+//! branch would. A guard whose one side is the
 //! exception (the limiter's near-zero divisor) uses
 //! [`Lane::select_lt_cold`]: width 1 keeps it a branch, where LLVM would
 //! otherwise turn the cheap sides into a branchless select in front of
@@ -124,11 +124,17 @@ pub trait Lane<R: Real>:
     /// Per lane: `if a >= b { x } else { y }` — the branchless form of a
     /// scalar `>=` branch whose both sides are pure values.
     fn select_ge(a: Self, b: Self, x: Self, y: Self) -> Self;
-    /// Lazy [`select_ge`](Self::select_ge) for expensive sides: a wide
-    /// lane evaluates `x` then `y` and selects; width 1 branches and
-    /// evaluates only the taken side. The sides must be pure.
-    fn select_ge_with(a: Self, b: Self, x: impl FnOnce() -> Self, y: impl FnOnce() -> Self)
-        -> Self;
+    /// Per lane: `if a >= b { f(x) } else { f(y) }`, for an element-wise
+    /// `f` too expensive to evaluate twice. A wide lane selects each
+    /// operand per lane and evaluates `f` once; width 1 branches and
+    /// evaluates `f` on the taken operands only. `f` must be pure.
+    fn select_ge_then<const K: usize>(
+        a: Self,
+        b: Self,
+        x: [Self; K],
+        y: [Self; K],
+        f: impl FnOnce([Self; K]) -> Self,
+    ) -> Self;
     /// Per lane: `if a < b { x } else { y }`, for a guard whose `a < b`
     /// side is the exception (e.g. a near-zero divisor). A wide lane
     /// evaluates `x` and selects; width 1 branches with `x` marked cold,
@@ -200,16 +206,17 @@ impl<R: Real> Lane<R> for R {
         }
     }
     #[inline(always)]
-    fn select_ge_with(
+    fn select_ge_then<const K: usize>(
         a: Self,
         b: Self,
-        x: impl FnOnce() -> Self,
-        y: impl FnOnce() -> Self,
+        x: [Self; K],
+        y: [Self; K],
+        f: impl FnOnce([Self; K]) -> Self,
     ) -> Self {
         if a >= b {
-            x()
+            f(x)
         } else {
-            y()
+            f(y)
         }
     }
     #[inline(always)]
@@ -349,14 +356,14 @@ macro_rules! lane_common {
                 <Self as Lane<$elem>>::from_fn(|l| if a.0[l] >= b.0[l] { x.0[l] } else { y.0[l] })
             }
             #[inline(always)]
-            fn select_ge_with(
+            fn select_ge_then<const K: usize>(
                 a: Self,
                 b: Self,
-                x: impl FnOnce() -> Self,
-                y: impl FnOnce() -> Self,
+                x: [Self; K],
+                y: [Self; K],
+                f: impl FnOnce([Self; K]) -> Self,
             ) -> Self {
-                let (x, y) = (x(), y());
-                <Self as Lane<$elem>>::select_ge(a, b, x, y)
+                f(std::array::from_fn(|m| <Self as Lane<$elem>>::select_ge(a, b, x[m], y[m])))
             }
             #[inline(always)]
             fn select_lt_cold(a: Self, b: Self, x: impl FnOnce() -> Self, y: Self) -> Self {
@@ -623,42 +630,46 @@ mod tests {
         max_min_match_scalar::<f32, f32>();
     }
 
-    /// The width-1 lazy selects are the scalar branch: only the taken
-    /// side runs. The wide lane runs both sides, once each.
+    /// The width-1 lazy selects are the scalar branch: `f` runs once, on
+    /// the taken operands. The wide lane selects per lane, then runs `f`
+    /// once.
     #[test]
     fn lazy_select_evaluates_only_the_taken_side_at_width_one() {
         use std::cell::Cell;
-        let (xs, ys) = (Cell::new(0), Cell::new(0));
-        let x = || {
-            xs.set(xs.get() + 1);
-            10.0
+        let calls = Cell::new(0);
+        let f = |[p, q]: [f64; 2]| {
+            calls.set(calls.get() + 1);
+            p - q
         };
-        let y = || {
-            ys.set(ys.get() + 1);
-            -10.0
-        };
-        assert_eq!(<f64 as Lane<f64>>::select_ge_with(2.0, 1.0, x, y), 10.0);
-        assert_eq!((xs.get(), ys.get()), (1, 0));
-        assert_eq!(<f64 as Lane<f64>>::select_ge_with(1.0, 2.0, x, y), -10.0);
-        assert_eq!((xs.get(), ys.get()), (1, 1));
+        let ge_then = |a, b| <f64 as Lane<f64>>::select_ge_then(a, b, [10.0, 1.0], [-10.0, 1.0], f);
+        assert_eq!(ge_then(2.0, 1.0), 9.0);
+        assert_eq!(ge_then(1.0, 2.0), -11.0);
         // Equal operands take the `>=` side.
-        assert_eq!(<f64 as Lane<f64>>::select_ge_with(2.0, 2.0, x, y), 10.0);
-        assert_eq!((xs.get(), ys.get()), (2, 1));
+        assert_eq!(ge_then(2.0, 2.0), 9.0);
+        assert_eq!(calls.get(), 3);
 
         let (a, b) = (F64x4([2.0, 1.0, 2.0, 0.0]), F64x4([1.0, 2.0, 2.0, 0.5]));
-        let v = F64x4::select_ge_with(a, b, || F64x4::splat(x()), || F64x4::splat(y()));
-        assert_eq!(v.0, [10.0, -10.0, 10.0, -10.0]);
-        assert_eq!((xs.get(), ys.get()), (3, 2));
+        let (x, y) = (F64x4::splat(10.0), F64x4::splat(-10.0));
+        let v = F64x4::select_ge_then(a, b, [x, y], [y, x], |[p, q]| {
+            calls.set(calls.get() + 1);
+            p - q
+        });
+        assert_eq!(v.0, [20.0, -20.0, 20.0, -20.0]);
+        assert_eq!(calls.get(), 4);
 
-        // The cold select's `x` side, too, runs at width 1 only when
-        // taken (equal operands are not `<`).
+        // The cold select's `x` side runs at width 1 only when taken
+        // (equal operands are not `<`).
+        let x = || {
+            calls.set(calls.get() + 1);
+            10.0
+        };
         assert_eq!(<f64 as Lane<f64>>::select_lt_cold(1.0, 2.0, x, -10.0), 10.0);
-        assert_eq!(xs.get(), 4);
+        assert_eq!(calls.get(), 5);
         assert_eq!(
             <f64 as Lane<f64>>::select_lt_cold(2.0, 2.0, x, -10.0),
             -10.0
         );
-        assert_eq!(xs.get(), 4);
+        assert_eq!(calls.get(), 5);
     }
 
     #[test]
