@@ -209,7 +209,7 @@ fn advect_rows(f: &Fields, out: &mut [f64]) {
 
 /// The SIMD x-walk, as used by
 /// `asuca_gpu::kernels::advection::advect_scalar` with lanes on: one
-/// body run at 4 lanes (loads at the same stencil offsets), then at
+/// body run at `f64`'s 8 lanes (loads at the same stencil offsets), then at
 /// width 1 for each row's remainder (`numerics::x_walk!`).
 /// Like the kernels (`numerics::simd_kernel!`), the loop body is
 /// stamped into an AVX2+FMA `#[target_feature]` twin when the CPU has

@@ -1,9 +1,11 @@
 //! Wall-clock trajectory of the Functional backend: full mountain-wave
-//! steps at 64×64×32 and 320×256×48, at host threads 1 and max, with the
-//! SIMD x-walks off and on, merged into `BENCH_wallclock.json` at the
-//! repository root: a row is keyed by (case, nx, ny, nz, threads, simd),
-//! a new row replaces the file's row of the same key, and rows this run
-//! did not measure are kept.
+//! steps at 64×64×32 and 320×256×48, in double and single precision, at
+//! host threads 1 and max, with the SIMD x-walks off and on, merged into
+//! `BENCH_wallclock.json` at the repository root: a row is keyed by
+//! (case, precision, nx, ny, nz, threads, simd), a new row replaces the
+//! file's row of the same key, and rows this run did not measure are
+//! kept. Rows written before the precision column existed read as
+//! double precision.
 //!
 //! This is the *other* clock of the repository: the simulated GT200
 //! seconds (reported by the fig* harnesses) must be bit-identical
@@ -20,6 +22,7 @@
 
 use asuca_gpu::SingleGpu;
 use dycore::config::ModelConfig;
+use numerics::Real;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -28,6 +31,8 @@ use vgpu::{DeviceSpec, ExecMode};
 #[derive(Debug, Clone, PartialEq)]
 struct Case {
     label: String,
+    /// `Real::PRECISION` of the run: "double" or "single".
+    precision: String,
     nx: usize,
     ny: usize,
     nz: usize,
@@ -46,9 +51,10 @@ fn env_steps(var: &str, default: usize) -> usize {
 }
 
 impl Case {
-    fn key(&self) -> (&str, usize, usize, usize, usize, bool) {
+    fn key(&self) -> (&str, &str, usize, usize, usize, usize, bool) {
         (
             &self.label,
+            &self.precision,
             self.nx,
             self.ny,
             self.nz,
@@ -60,10 +66,28 @@ impl Case {
     fn per_step(&self) -> f64 {
         self.wall_s / self.steps as f64
     }
+
+    /// The row's one-line JSON object, as [`parse_cases`] reads it.
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"case\": \"{}\", \"precision\": \"{}\", \"nx\": {}, \"ny\": {}, \"nz\": {}, \"steps\": {}, \"threads\": {}, \"simd\": {}, \"wall_seconds\": {:.6}, \"wall_seconds_per_step\": {:.6}, \"simulated_seconds\": {:.6}}}",
+            self.label,
+            self.precision,
+            self.nx,
+            self.ny,
+            self.nz,
+            self.steps,
+            self.threads,
+            self.simd,
+            self.wall_s,
+            self.per_step(),
+            self.sim_s
+        )
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_case(
+fn run_case<R: Real>(
     label: &str,
     nx: usize,
     ny: usize,
@@ -76,7 +100,7 @@ fn run_case(
     cfg.dt = 5.0;
     cfg.threads = threads;
     cfg.simd = Some(simd);
-    let mut gpu = SingleGpu::<f64>::new(cfg, DeviceSpec::tesla_s1070(), ExecMode::Functional);
+    let mut gpu = SingleGpu::<R>::new(cfg, DeviceSpec::tesla_s1070(), ExecMode::Functional);
     // Warm up one step so pool creation, lazy allocations and page
     // faults don't land inside the timed region.
     gpu.run(1).unwrap();
@@ -86,11 +110,13 @@ fn run_case(
     let wall_s = t0.elapsed().as_secs_f64();
     let sim_s = gpu.dev.host_time() - sim0;
     eprintln!(
-        "{label} threads={threads} simd={simd}: {steps} steps in {wall_s:.3} s wall ({:.3} s/step), simulated {sim_s:.4} s",
+        "{label} {} threads={threads} simd={simd}: {steps} steps in {wall_s:.3} s wall ({:.3} s/step), simulated {sim_s:.4} s",
+        R::PRECISION,
         wall_s / steps as f64
     );
     Case {
         label: label.to_string(),
+        precision: R::PRECISION.to_string(),
         nx,
         ny,
         nz,
@@ -103,7 +129,8 @@ fn run_case(
 }
 
 /// The case rows of a BENCH_wallclock.json (line-oriented scan; the
-/// file is written by this binary, one case object per line).
+/// file is written by this binary, one case object per line). A row
+/// without a precision is a double-precision row.
 fn parse_cases(json: &str) -> Vec<Case> {
     let field = |line: &str, key: &str| -> Option<String> {
         let idx = line.find(&format!("\"{key}\": "))?;
@@ -120,6 +147,7 @@ fn parse_cases(json: &str) -> Vec<Case> {
         let real = |key| field(line, key)?.parse::<f64>().ok();
         Some(Case {
             label: field(line, "case")?,
+            precision: field(line, "precision").unwrap_or_else(|| f64::PRECISION.to_string()),
             nx: num("nx")?,
             ny: num("ny")?,
             nz: num("nz")?,
@@ -151,13 +179,55 @@ fn merge(mut old: Vec<Case>, new: &[Case]) -> Vec<Case> {
 const LARGE: &str = "mountain_wave_320x256x48";
 
 /// Per-step wall-time ratio of the large-grid rows `(threads, simd)`
-/// `slow` over `fast`, when `rows` hold both.
-fn large_speedup(rows: &[Case], slow: (usize, bool), fast: (usize, bool)) -> Option<f64> {
+/// `slow` over `fast` in `precision`, when `rows` hold both.
+fn large_speedup(
+    rows: &[Case],
+    precision: &str,
+    slow: (usize, bool),
+    fast: (usize, bool),
+) -> Option<f64> {
     let find = |(threads, simd)| {
-        rows.iter()
-            .find(|c| c.label == LARGE && c.threads == threads && c.simd == simd)
+        rows.iter().find(|c| {
+            c.label == LARGE && c.precision == precision && c.threads == threads && c.simd == simd
+        })
     };
     Some(find(slow)?.per_step() / find(fast)?.per_step())
+}
+
+/// The scalar, lane and pooled runs of one grid in precision `R`: the
+/// width-1 walk at 1 thread, then (with `run_lanes`) the lane walk at 1
+/// thread, then (on a multi-core host) `max` threads.
+fn grid_cases<R: Real>(
+    (label, nx, ny, nz, steps): (&str, usize, usize, usize, usize),
+    max: usize,
+    run_lanes: bool,
+    cases: &mut Vec<Case>,
+) {
+    let scalar = run_case::<R>(label, nx, ny, nz, steps, 1, false);
+    let scalar_sim = scalar.sim_s;
+    cases.push(scalar);
+    if run_lanes {
+        let lanes = run_case::<R>(label, nx, ny, nz, steps, 1, true);
+        // The two-clock rule: neither the lane width nor the thread
+        // count may move the simulated timeline by a single bit.
+        assert_eq!(
+            scalar_sim,
+            lanes.sim_s,
+            "{label} {}: simulated seconds changed with simd on",
+            R::PRECISION
+        );
+        cases.push(lanes);
+    }
+    if max > 1 {
+        let pooled = run_case::<R>(label, nx, ny, nz, steps, max, run_lanes);
+        assert_eq!(
+            scalar_sim,
+            pooled.sim_s,
+            "{label} {}: simulated seconds changed with threads={max}",
+            R::PRECISION
+        );
+        cases.push(pooled);
+    }
 }
 
 fn results_path() -> PathBuf {
@@ -195,49 +265,36 @@ fn main() {
         if steps == 0 {
             continue;
         }
-        let scalar = run_case(label, nx, ny, nz, steps, 1, false);
-        let scalar_sim = scalar.sim_s;
-        cases.push(scalar);
-        if run_lanes {
-            let lanes = run_case(label, nx, ny, nz, steps, 1, true);
-            // The two-clock rule: neither the lane width nor the thread
-            // count may move the simulated timeline by a single bit.
-            assert_eq!(
-                scalar_sim, lanes.sim_s,
-                "{label}: simulated seconds changed with simd on"
-            );
-            cases.push(lanes);
-        }
-        if max > 1 {
-            let pooled = run_case(label, nx, ny, nz, steps, max, run_lanes);
-            assert_eq!(
-                scalar_sim, pooled.sim_s,
-                "{label}: simulated seconds changed with threads={max}"
-            );
-            cases.push(pooled);
-        }
+        let grid = (label, nx, ny, nz, steps);
+        grid_cases::<f64>(grid, max, run_lanes, &mut cases);
+        grid_cases::<f32>(grid, max, run_lanes, &mut cases);
     }
 
-    // Perf gates at the large grid. Multi-core hosts must see the pool
-    // win; hosts with the vector ISA must see the lane walk win over the
-    // scalar walk at equal thread count.
+    // Perf gates at the large grid, in each precision. Multi-core hosts
+    // must see the pool win; hosts with the vector ISA must see the lane
+    // walk win over the scalar walk at equal thread count.
     let simd_pair = ((1, false), (1, true));
     let pool_pair = ((1, run_lanes), (max, run_lanes));
-    if let Some(sp) = large_speedup(&cases, simd_pair.0, simd_pair.1) {
-        eprintln!("320x256x48 speedup simd on vs off (threads 1): {sp:.2}x");
-        if simd_native {
+    for precision in [f64::PRECISION, f32::PRECISION] {
+        if let Some(sp) = large_speedup(&cases, precision, simd_pair.0, simd_pair.1) {
+            eprintln!("320x256x48 {precision} speedup simd on vs off (threads 1): {sp:.2}x");
+            if simd_native {
+                assert!(
+                    sp > 1.0,
+                    "{precision}: lane walk slower than scalar walk at 320x256x48 ({sp:.2}x)"
+                );
+            }
+        }
+        let pool = large_speedup(&cases, precision, pool_pair.0, pool_pair.1).filter(|_| max > 1);
+        if let Some(sp) = pool {
+            eprintln!(
+                "320x256x48 {precision} speedup threads {max} vs 1 (simd={run_lanes}): {sp:.2}x"
+            );
             assert!(
                 sp > 1.0,
-                "lane walk slower than scalar walk at 320x256x48 ({sp:.2}x)"
+                "{precision}: pooled path slower than single-threaded at 320x256x48 ({sp:.2}x)"
             );
         }
-    }
-    if let Some(sp) = large_speedup(&cases, pool_pair.0, pool_pair.1).filter(|_| max > 1) {
-        eprintln!("320x256x48 speedup threads {max} vs 1 (simd={run_lanes}): {sp:.2}x");
-        assert!(
-            sp > 1.0,
-            "pooled path slower than single-threaded at 320x256x48 ({sp:.2}x)"
-        );
     }
 
     // Regression gate for the robustness layer: with injection,
@@ -256,20 +313,25 @@ fn main() {
         for c in &cases {
             let Some((base_per_step, base_sim)) = baseline
                 .iter()
-                .find(|b| b.label == c.label && b.threads == c.threads && b.simd == c.simd)
+                .find(|b| {
+                    b.label == c.label
+                        && b.precision == c.precision
+                        && b.threads == c.threads
+                        && b.simd == c.simd
+                })
                 .map(|b| (b.per_step(), b.sim_s))
             else {
                 eprintln!(
-                    "no baseline case for {} threads={} simd={} — skipping",
-                    c.label, c.threads, c.simd
+                    "no baseline case for {} {} threads={} simd={} — skipping",
+                    c.label, c.precision, c.threads, c.simd
                 );
                 continue;
             };
             let per_step = c.per_step();
             let overhead_pct = (per_step / base_per_step - 1.0) * 100.0;
             eprintln!(
-                "{} threads={} simd={}: {per_step:.4} s/step vs baseline {base_per_step:.4} ({overhead_pct:+.1}%)",
-                c.label, c.threads, c.simd
+                "{} {} threads={} simd={}: {per_step:.4} s/step vs baseline {base_per_step:.4} ({overhead_pct:+.1}%)",
+                c.label, c.precision, c.threads, c.simd
             );
             assert!(
                 per_step <= base_per_step * (1.0 + tol_pct / 100.0),
@@ -292,8 +354,10 @@ fn main() {
         parse_cases(&std::fs::read_to_string(&path).unwrap_or_default()),
         &cases,
     );
-    let simd_speedup = large_speedup(&rows, simd_pair.0, simd_pair.1);
-    let thread_speedup = large_speedup(&rows, pool_pair.0, pool_pair.1).filter(|_| max > 1);
+    // The file's headline ratios stay the double-precision ones.
+    let simd_speedup = large_speedup(&rows, f64::PRECISION, simd_pair.0, simd_pair.1);
+    let thread_speedup =
+        large_speedup(&rows, f64::PRECISION, pool_pair.0, pool_pair.1).filter(|_| max > 1);
     let fmt_opt = |o: Option<f64>| o.map_or("null".to_string(), |s| format!("{s:.4}"));
     let mut json = String::new();
     json.push_str("{\n");
@@ -312,12 +376,7 @@ fn main() {
     json.push_str("  \"cases\": [\n");
     for (n, c) in rows.iter().enumerate() {
         let sep = if n + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"case\": \"{}\", \"nx\": {}, \"ny\": {}, \"nz\": {}, \"steps\": {}, \"threads\": {}, \"simd\": {}, \"wall_seconds\": {:.6}, \"wall_seconds_per_step\": {:.6}, \"simulated_seconds\": {:.6}}}{sep}",
-            c.label, c.nx, c.ny, c.nz, c.steps, c.threads, c.simd, c.wall_s,
-            c.per_step(), c.sim_s
-        );
+        let _ = writeln!(json, "    {}{sep}", c.to_json());
     }
     json.push_str("  ]\n}\n");
 
@@ -332,6 +391,7 @@ mod tests {
     fn row(label: &str, threads: usize, simd: bool, wall_s: f64) -> Case {
         Case {
             label: label.to_string(),
+            precision: f64::PRECISION.to_string(),
             nx: 64,
             ny: 64,
             nz: 32,
@@ -343,8 +403,16 @@ mod tests {
         }
     }
 
+    fn single(c: Case) -> Case {
+        Case {
+            precision: f32::PRECISION.to_string(),
+            ..c
+        }
+    }
+
     /// A new row replaces the row of its key in place, a new key is
-    /// appended, and rows the run did not measure survive.
+    /// appended (the precision is part of the key), and rows the run did
+    /// not measure survive.
     #[test]
     fn rows_merge_by_key() {
         let old = vec![
@@ -352,7 +420,11 @@ mod tests {
             row("a", 1, true, 2.0),
             row(LARGE, 1, false, 3.0),
         ];
-        let new = [row("a", 1, true, 5.0), row("a", 2, true, 6.0)];
+        let new = [
+            row("a", 1, true, 5.0),
+            row("a", 2, true, 6.0),
+            single(row("a", 1, true, 7.0)),
+        ];
         let merged = merge(old, &new);
         assert_eq!(
             merged,
@@ -361,12 +433,14 @@ mod tests {
                 row("a", 1, true, 5.0),
                 row(LARGE, 1, false, 3.0),
                 row("a", 2, true, 6.0),
+                single(row("a", 1, true, 7.0)),
             ]
         );
     }
 
     /// The committed file parses back into its rows, which the baseline
-    /// assert and the merge both read.
+    /// assert and the merge both read; rows written before the precision
+    /// column read as double precision.
     #[test]
     fn committed_rows_parse() {
         let json = include_str!("../../../../BENCH_wallclock.json");
@@ -374,5 +448,16 @@ mod tests {
         assert_eq!(rows.len(), json.matches("{\"case\":").count());
         assert!(rows.iter().all(|c| c.steps > 0 && c.wall_s > 0.0));
         assert_eq!(merge(rows.clone(), &rows), rows);
+        let legacy = r#"{"case": "a", "nx": 64, "ny": 64, "nz": 32, "steps": 2, "threads": 1, "simd": false, "wall_seconds": 1.000000, "wall_seconds_per_step": 0.500000, "simulated_seconds": 0.250000}"#;
+        assert_eq!(parse_cases(legacy), vec![row("a", 1, false, 1.0)]);
+    }
+
+    /// A row with its precision written round-trips through the file
+    /// format, in either precision.
+    #[test]
+    fn rows_round_trip_with_precision() {
+        for c in [row("a", 2, true, 1.5), single(row(LARGE, 1, false, 3.0))] {
+            assert_eq!(parse_cases(&c.to_json()), vec![c.clone()]);
+        }
     }
 }

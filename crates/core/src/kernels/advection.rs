@@ -313,7 +313,12 @@ impl<'a, R: Real> Faces<'a, R> {
     fn y(cv: Cv, [s, _, v, _]: &[V3<'a, R>; 4], j: isize, k: isize) -> Self {
         let vel = FaceVel::new(cv, v, j - 1, k);
         Faces {
-            s: [-2, -1, 0, 1].map(|d| s.row(j + d, k)),
+            s: [
+                s.row(j - 2, k),
+                s.row(j - 1, k),
+                s.row(j, k),
+                s.row(j + 1, k),
+            ],
             dx: 0,
             vel,
         }
@@ -324,7 +329,12 @@ impl<'a, R: Real> Faces<'a, R> {
     fn z(cv: Cv, [s, _, _, w]: &[V3<'a, R>; 4], j: isize, k: isize) -> Self {
         let vel = FaceVel::new(cv, w, j, k);
         Faces {
-            s: [-2, -1, 0, 1].map(|d| s.row(j, k + d)),
+            s: [
+                s.row(j, k - 2),
+                s.row(j, k - 1),
+                s.row(j, k),
+                s.row(j, k + 1),
+            ],
             dx: 0,
             vel,
         }
@@ -420,7 +430,7 @@ fn march<R: Real>(
                 let lid = cv != Cv::W && k + 1 == ks.1;
                 let mut orow = o.row_mut(j, k);
                 numerics::x_walk!(R, lanes_on, i0..i1, |lw, i| {
-                    let [vdx, vdy, vdz] = inv.map(|d| lw.splat(d));
+                    let [vdx, vdy, vdz] = [lw.splat(inv[0]), lw.splat(inv[1]), lw.splat(inv[2])];
                     let (fxm, fxp) = (lw.load_at(&fx, at(i)), lw.load_at(&fx, at(i) + 1));
                     let fym = lw.load_at(fyk, at(i));
                     let fyp = yf.flux(lw, lim, i);

@@ -495,14 +495,14 @@ mod tests {
 
     #[test]
     fn row_lane_taps_match_scalar_taps() {
-        use numerics::simd::{F64x4, LANES};
-        let m = Dims::center(9, 3, 4, 2);
+        use numerics::simd::{F64x8, LANES};
+        let m = Dims::center(13, 3, 4, 2);
         let mut data = vec![0.0f64; m.len()];
         {
             let mut v = V3Mut::new(&mut data, m);
             for j in -2..5isize {
                 for k in -2..6isize {
-                    for i in -2..11isize {
+                    for i in -2..15isize {
                         v.set(i, j, k, (i * 1000 + j * 50 + k) as f64);
                     }
                 }
@@ -510,10 +510,11 @@ mod tests {
         }
         let v = V3::new(&data, m);
         let row = v.row(1, 2);
-        let (wide, one) = (Width::<f64, F64x4>::new(), Width::<f64, f64>::new());
+        let (wide, one) = (Width::<f64, F64x8>::new(), Width::<f64, f64>::new());
         // A lane load at i with a fixed stencil offset must equal the
-        // four scalar taps at i-1..i+3 etc.; at width 1 it is the tap.
-        for off in [-2isize, -1, 0, 1, 2] {
+        // eight scalar taps at i-1..i+7 etc.; at width 1 it is the tap.
+        // The last offset's lane ends on the last halo column.
+        for off in [-2isize, -1, 0, 1, 2, 5, 7] {
             let lv = row.lanes(wide, off);
             for l in 0..LANES {
                 assert_eq!(lv.extract(l), row.at(off + l as isize));
@@ -524,11 +525,11 @@ mod tests {
 
     #[test]
     fn row_mut_lane_store_and_add_match_scalar() {
-        use numerics::simd::F64x4;
-        let m = Dims::center(6, 2, 2, 1);
+        use numerics::simd::{F64x8, LANES};
+        let m = Dims::center(10, 2, 2, 1);
         let mut a = vec![0.0f64; m.len()];
         let mut b = vec![0.0f64; m.len()];
-        let w = Width::<f64, F64x4>::new();
+        let w = Width::<f64, F64x8>::new();
         let lane = w.from_fn(|l| 1.5 + l as f64);
         {
             let r = m.slab(0, 2);
@@ -542,10 +543,10 @@ mod tests {
             let r = m.slab(0, 2);
             let mut s = V3SlabMut::new(&mut b[r], m, 0);
             let mut row = s.row_mut(1, 0);
-            for l in 0..4isize {
+            for l in 0..LANES as isize {
                 row.set(1 + l, lane.extract(l as usize));
             }
-            for l in 0..4isize {
+            for l in 0..LANES as isize {
                 row.add(l, lane.extract(l as usize));
             }
         }
@@ -574,14 +575,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the padded row")]
     fn lane_tap_rejects_partial_overhang() {
-        let m = Dims::center(4, 2, 2, 1);
+        let m = Dims::center(8, 2, 2, 1);
         let data = vec![0.0f64; m.len()];
         let v = V3::new(&data, m);
-        // A 4-wide load starting at i=3 would touch i=6 — one past the
-        // halo column i=4(+halo)=5.
+        // nx=8, halo=1: valid logical i is -1..=8. An 8-wide load
+        // starting at i=2 would touch i=9 — one past the halo column.
         let _ = v
             .row(0, 0)
-            .lanes(Width::<f64, numerics::simd::F64x4>::new(), 3);
+            .lanes(Width::<f64, numerics::simd::F64x8>::new(), 2);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   vertical implicit problem of the HE-VI scheme (§IV-A.3).
 //! * [`par`] — lightweight slab-parallel iteration built on scoped threads
 //!   scoped threads.
-//! * [`simd`] — dependency-free 4-wide lanes ([`simd::F64x4`]), with
+//! * [`simd`] — dependency-free 8-wide lanes ([`simd::F32x8`],
+//!   [`simd::F64x8`]), with
 //!   every scalar a lane of width 1, so each kernel x-walk body is
 //!   written once and run at both widths ([`x_walk!`]); bitwise
 //!   identical at either width by construction (`ASUCA_SIMD` knob,

@@ -45,10 +45,12 @@ pub trait Real:
     /// Human-readable precision name ("single" / "double").
     const PRECISION: &'static str;
 
-    /// The 4-wide SIMD lane type for this scalar (`F64x4` / `F32x4`);
-    /// every lane op is element-wise identical to the scalar op, so a
-    /// kernel body run at this width is bitwise equal to the same body
-    /// run on the scalar itself, the width-1 lane (see [`crate::simd`]).
+    /// The 8-wide SIMD lane type for this scalar (`F32x8` / `F64x8`,
+    /// both [`LANES`](crate::simd::LANES) wide: one 256-bit register per
+    /// f32 lane, two per f64 lane). Every lane op is element-wise
+    /// identical to the scalar op, so a kernel body run at this width is
+    /// bitwise equal to the same body run on the scalar itself, the
+    /// width-1 lane (see [`crate::simd`]).
     type Lane: crate::simd::Lane<Self>;
 
     /// Lossy conversion from `f64` (exact for `f64`, rounded for `f32`).
@@ -147,8 +149,8 @@ macro_rules! impl_real {
     };
 }
 
-impl_real!(f32, 4, "single", crate::simd::F32x4);
-impl_real!(f64, 8, "double", crate::simd::F64x4);
+impl_real!(f32, 4, "single", crate::simd::F32x8);
+impl_real!(f64, 8, "double", crate::simd::F64x8);
 
 #[cfg(test)]
 mod tests {

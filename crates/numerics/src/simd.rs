@@ -2,15 +2,18 @@
 //!
 //! The paper's single-GPU win comes from making unit-stride x the fast
 //! axis so a warp's 32 threads issue one coalesced transaction per
-//! stencil tap (§IV-A). The host analog is a 4-wide lane walking the
-//! same contiguous padded x-row: one `F64x4` load per tap, four points
-//! retired per loop iteration. No external crates are used (the build is
+//! stencil tap (§IV-A). The host analog is an 8-wide lane walking the
+//! same contiguous padded x-row: one lane load per tap, eight points
+//! retired per loop iteration. An [`F32x8`] tap fills one 256-bit AVX
+//! register and an [`F64x8`] tap two, so an f32 lane op retires twice
+//! the points of an f64 one — the host side of the paper's single- vs
+//! double-precision gap. No external crates are used (the build is
 //! fully offline); everything here is plain arrays plus runtime feature
 //! detection from `std`.
 //!
 //! ## One body per kernel: scalars are width-1 lanes
 //!
-//! [`Lane`] is implemented by the 4-wide [`F64x4`] / [`F32x4`] *and* by
+//! [`Lane`] is implemented by the 8-wide [`F64x8`] / [`F32x8`] *and* by
 //! every [`Real`] scalar itself, with `N = 1` and each op the scalar op.
 //! A per-point body is therefore written once, generic over
 //! `L: Lane<R>`, and run at both widths: [`x_walk!`](crate::x_walk)
@@ -27,7 +30,7 @@
 //! scalar operation the kernels already use** (`+`, `*`, `Real::max`,
 //! `Real::mul_add`, …), and branches become lane selects that pick the
 //! value the scalar branch would have produced. Per-point operation
-//! order is therefore preserved lane-wise and the 4-wide pass is bitwise
+//! order is therefore preserved lane-wise and the 8-wide pass is bitwise
 //! identical to the width-1 pass — asserted end-to-end by
 //! `tests/determinism.rs` (threads × `ASUCA_SIMD` matrix, both
 //! precisions) and per-op by the tests below.
@@ -38,7 +41,7 @@
 //! sides are cheap (a constant, an operand). When the choice picks the
 //! operands of an expensive function — the upwind stencil of
 //! [`limited_flux`](crate::limiter::limited_flux) — use
-//! [`Lane::select_ge_then`]: a 4-wide lane selects the operands per lane
+//! [`Lane::select_ge_then`]: a wide lane selects the operands per lane
 //! and evaluates the function once, a width-1 lane branches and
 //! evaluates it on the taken operands only, as a hand-written scalar
 //! branch would. A guard whose one side is the
@@ -55,12 +58,17 @@
 //! *Closures defined inside a `#[target_feature]` function inherit its
 //! features*, so the `launch`/`launch_par` kernel bodies stamped into
 //! the twin compile with 256-bit registers available and the
-//! `[f64; 4]` lane ops become `vaddpd`/`vmulpd`/…. The lane types
-//! themselves are plain 4-element arrays with element-wise ops; off
-//! x86-64, or with the knob off, they compile as such.
+//! `[f32; 8]` / `[f64; 8]` lane ops become `vaddps`/`vmulpd`/…. The
+//! lane types themselves are plain 8-element arrays with element-wise
+//! ops; off x86-64, or with the knob off, they compile as such.
+//!
+//! A wide loop only pays off when every lane op inlines: an out-of-line
+//! helper call inside it (each behind a `vzeroupper`) costs more than the
+//! lanes win, with the same bits. The verify skill has an `objdump`
+//! recipe that checks a kernel's wide loop for `call`s.
 //!
 //! `ASUCA_SIMD=0` runs every x-walk at width 1 process-wide (A/B
-//! verification knob); `ASUCA_SIMD=1` forces the 4-wide pass even where
+//! verification knob); `ASUCA_SIMD=1` forces the 8-wide pass even where
 //! no vector ISA was detected (portable arrays, still bit-identical).
 
 use crate::real::Real;
@@ -69,8 +77,18 @@ use std::marker::PhantomData;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::sync::OnceLock;
 
-/// Width of the wide lane types [`F64x4`] and [`F32x4`].
-pub const LANES: usize = 4;
+/// Width of the wide lane types [`F64x8`] and [`F32x8`].
+pub const LANES: usize = 8;
+
+// One width for both precisions. perfbench's limiter layer steps its
+// loop by `LANES` while loading `R::Lane`, and the warm-rain and
+// monitor kernels (`kernels/physics.rs`, `monitor.rs`) size their
+// per-lane arrays by `LANES`; a per-type width would panic or silently
+// miscount there.
+const _: () = assert!(
+    <<f32 as Real>::Lane as Lane<f32>>::N == LANES
+        && <<f64 as Real>::Lane as Lane<f64>>::N == LANES
+);
 
 /// A fixed-width vector of `R` with element-wise semantics identical to
 /// the scalar [`Real`] operations (see the module-level bit-identity
@@ -230,43 +248,39 @@ impl<R: Real> Lane<R> for R {
     }
 }
 
-/// Four `f64` lanes (one 256-bit AVX register).
+/// Eight `f64` lanes (two 256-bit AVX registers).
 #[derive(Clone, Copy, Debug, PartialEq)]
 #[repr(C, align(32))]
-pub struct F64x4(pub [f64; LANES]);
+pub struct F64x8(pub [f64; LANES]);
 
-/// Four `f32` lanes.
+/// Eight `f32` lanes (one 256-bit AVX register).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[repr(C, align(16))]
-pub struct F32x4(pub [f32; LANES]);
+#[repr(C, align(32))]
+pub struct F32x8(pub [f32; LANES]);
 
-/// One element-wise binary op of a wide lane type: each element is the
-/// scalar IEEE-754 operation.
+/// One element-wise binary op of a wide lane type over its lane indices
+/// `$l`: each element is the scalar IEEE-754 operation.
 macro_rules! lane_binop {
-    ($name:ident, $trait:ident, $fn:ident, $op:tt) => {
+    ($name:ident, [$($l:literal)*], $trait:ident, $fn:ident, $op:tt) => {
         impl $trait for $name {
             type Output = Self;
             #[inline(always)]
             fn $fn(self, o: Self) -> Self {
-                $name([
-                    self.0[0] $op o.0[0],
-                    self.0[1] $op o.0[1],
-                    self.0[2] $op o.0[2],
-                    self.0[3] $op o.0[3],
-                ])
+                $name([$(self.0[$l] $op o.0[$l]),*])
             }
         }
     };
 }
 
 /// The operators and the [`Lane`] impl of a wide lane type (all
-/// element-wise scalar ops, per the bit-identity rule).
+/// element-wise scalar ops, per the bit-identity rule), given its lane
+/// indices `0..LANES` as literals.
 macro_rules! lane_common {
-    ($name:ident, $elem:ty) => {
-        lane_binop!($name, Add, add, +);
-        lane_binop!($name, Sub, sub, -);
-        lane_binop!($name, Mul, mul, *);
-        lane_binop!($name, Div, div, /);
+    ($name:ident, $elem:ty, [$($l:literal)*]) => {
+        lane_binop!($name, [$($l)*], Add, add, +);
+        lane_binop!($name, [$($l)*], Sub, sub, -);
+        lane_binop!($name, [$($l)*], Mul, mul, *);
+        lane_binop!($name, [$($l)*], Div, div, /);
         impl Neg for $name {
             type Output = Self;
             #[inline(always)]
@@ -308,7 +322,7 @@ macro_rules! lane_common {
             }
             #[inline(always)]
             fn from_fn(mut f: impl FnMut(usize) -> $elem) -> Self {
-                $name([f(0), f(1), f(2), f(3)])
+                $name([$(f($l)),*])
             }
             #[inline(always)]
             fn load(src: &[$elem]) -> Self {
@@ -363,7 +377,14 @@ macro_rules! lane_common {
                 y: [Self; K],
                 f: impl FnOnce([Self; K]) -> Self,
             ) -> Self {
-                f(std::array::from_fn(|m| <Self as Lane<$elem>>::select_ge(a, b, x[m], y[m])))
+                // A plain loop, not `std::array::from_fn`: at 8 lanes LLVM
+                // stops inlining `from_fn`'s closure and the wide loop
+                // calls it out of line, behind a `vzeroupper` each time.
+                let mut s = x;
+                for m in 0..K {
+                    s[m] = <Self as Lane<$elem>>::select_ge(a, b, x[m], y[m]);
+                }
+                f(s)
             }
             #[inline(always)]
             fn select_lt_cold(a: Self, b: Self, x: impl FnOnce() -> Self, y: Self) -> Self {
@@ -374,8 +395,8 @@ macro_rules! lane_common {
     };
 }
 
-lane_common!(F64x4, f64);
-lane_common!(F32x4, f32);
+lane_common!(F64x8, f64, [0 1 2 3 4 5 6 7]);
+lane_common!(F32x8, f32, [0 1 2 3 4 5 6 7]);
 
 /// Whether the CPU offers the AVX2+FMA fast path (runtime detection,
 /// cached by `std`). Always `false` off x86-64.
@@ -507,7 +528,7 @@ macro_rules! x_walk {
 /// inline a multi-hundred-instruction closure into a feature frame by
 /// cost model alone. Stamping the whole body into a
 /// `#[target_feature(enable = "avx2,fma")]` twin makes the closures
-/// inherit the features, so the `[f64; 4]` lane ops compile to 256-bit
+/// inherit the features, so the 8-wide lane ops compile to 256-bit
 /// instructions — with no global `-C target-feature` baseline (the
 /// portable twin still runs on any x86-64) and no per-op dispatch.
 ///
@@ -555,8 +576,13 @@ macro_rules! simd_kernel {
 mod tests {
     use super::*;
 
+    /// One operand pair per lane: sign changes, ±0 against ∓0,
+    /// subnormals, a huge value, and an equal pair.
     fn vals() -> ([f64; LANES], [f64; LANES]) {
-        ([1.5, -2.25, 1.0e-300, 7.75], [-0.5, 2.25, 3.0e-300, -7.75])
+        (
+            [1.5, -2.25, 5.0e-324, 7.75, 0.0, -0.0, 1.0e30, -3.5],
+            [-0.5, 2.25, 1.0e-310, -7.75, -0.0, 0.0, -1.0e30, -3.5],
+        )
     }
 
     /// Exact bits of a scalar of either precision (widening to f64 is
@@ -566,8 +592,16 @@ mod tests {
     }
 
     fn operands<R: Real>() -> (Vec<R>, Vec<R>) {
-        let a = [1.5, -2.25, 1.0e-300, 7.75, 0.0, -3.5, 1.0e30, -0.0];
-        let b = [-0.5, 2.25, 3.0e-300, -7.75, -0.0, 0.125, 3.0, 2.0];
+        // Two lanes' worth, with subnormals of either precision (1e-40
+        // is subnormal in f32) and products that overflow f32.
+        let a = [
+            1.5, -2.25, 1.0e-300, 7.75, 0.0, -3.5, 1.0e30, -0.0, //
+            5.0e-324, 1.0e-40, -1.0e30, 3.0, -0.0, 0.0, 1.0e-310, 9.5,
+        ];
+        let b = [
+            -0.5, 2.25, 3.0e-300, -7.75, -0.0, 0.125, 3.0, 2.0, //
+            2.0, -1.0e-40, 1.0e30, -3.0, -0.0, -0.0, 0.5, 9.5,
+        ];
         (
             a.iter().map(|&x| R::from_f64(x)).collect(),
             b.iter().map(|&x| R::from_f64(x)).collect(),
@@ -599,9 +633,9 @@ mod tests {
     /// for the scalars run as width-1 lanes, in both precisions.
     #[test]
     fn lane_ops_bitwise_match_scalar() {
-        ops_match_scalar::<f64, F64x4>();
+        ops_match_scalar::<f64, F64x8>();
         ops_match_scalar::<f64, f64>();
-        ops_match_scalar::<f32, F32x4>();
+        ops_match_scalar::<f32, F32x8>();
         ops_match_scalar::<f32, f32>();
     }
 
@@ -624,9 +658,9 @@ mod tests {
     /// this test pins the equivalence, signed zeros included.
     #[test]
     fn lane_max_min_match_scalar_including_signed_zero() {
-        max_min_match_scalar::<f64, F64x4>();
+        max_min_match_scalar::<f64, F64x8>();
         max_min_match_scalar::<f64, f64>();
-        max_min_match_scalar::<f32, F32x4>();
+        max_min_match_scalar::<f32, F32x8>();
         max_min_match_scalar::<f32, f32>();
     }
 
@@ -648,13 +682,14 @@ mod tests {
         assert_eq!(ge_then(2.0, 2.0), 9.0);
         assert_eq!(calls.get(), 3);
 
-        let (a, b) = (F64x4([2.0, 1.0, 2.0, 0.0]), F64x4([1.0, 2.0, 2.0, 0.5]));
-        let (x, y) = (F64x4::splat(10.0), F64x4::splat(-10.0));
-        let v = F64x4::select_ge_then(a, b, [x, y], [y, x], |[p, q]| {
+        let a = F64x8([2.0, 1.0, 2.0, 0.0, -0.0, 0.0, 1.0e30, -1.0]);
+        let b = F64x8([1.0, 2.0, 2.0, 0.5, 0.0, -0.0, 1.0e-310, 1.0]);
+        let (x, y) = (F64x8::splat(10.0), F64x8::splat(-10.0));
+        let v = F64x8::select_ge_then(a, b, [x, y], [y, x], |[p, q]| {
             calls.set(calls.get() + 1);
             p - q
         });
-        assert_eq!(v.0, [20.0, -20.0, 20.0, -20.0]);
+        assert_eq!(v.0, [20.0, -20.0, 20.0, -20.0, 20.0, 20.0, 20.0, -20.0]);
         assert_eq!(calls.get(), 4);
 
         // The cold select's `x` side runs at width 1 only when taken
@@ -675,36 +710,44 @@ mod tests {
     #[test]
     fn selects_mirror_scalar_branches() {
         let (a, b) = vals();
-        let (va, vb) = (F64x4(a), F64x4(b));
-        let x = F64x4::splat(10.0);
-        let y = F64x4::splat(-10.0);
+        let (va, vb) = (F64x8(a), F64x8(b));
+        let x = F64x8::from_fn(|l| 10.0 + l as f64);
+        let y = F64x8::from_fn(|l| -10.0 - l as f64);
         for l in 0..LANES {
-            let ge = if a[l] >= b[l] { 10.0 } else { -10.0 };
-            let lt = if a[l] < b[l] { 10.0 } else { -10.0 };
-            assert_eq!(F64x4::select_ge(va, vb, x, y).0[l], ge);
-            assert_eq!(F64x4::select_lt_cold(va, vb, || x, y).0[l], lt);
+            let ge = if a[l] >= b[l] { x.0[l] } else { y.0[l] };
+            let lt = if a[l] < b[l] { x.0[l] } else { y.0[l] };
+            assert_eq!(F64x8::select_ge(va, vb, x, y).0[l], ge);
+            assert_eq!(F64x8::select_lt_cold(va, vb, || x, y).0[l], lt);
         }
-        // Equal operands take the scalar `>=` branch.
-        let z = F64x4::splat(2.0);
-        assert_eq!(F64x4::select_ge(z, z, x, y).0[0], 10.0);
-        assert_eq!(F64x4::select_lt_cold(z, z, || x, y).0[0], -10.0);
+        // Equal operands take the scalar `>=` branch, ±0 included.
+        let z = F64x8::splat(2.0);
+        assert_eq!(F64x8::select_ge(z, z, x, y).0, x.0);
+        assert_eq!(F64x8::select_lt_cold(z, z, || x, y).0, y.0);
+        let (pz, nz) = (F64x8::splat(0.0), F64x8::splat(-0.0));
+        assert_eq!(F64x8::select_ge(nz, pz, x, y).0, x.0);
+        assert_eq!(F64x8::select_lt_cold(nz, pz, || x, y).0, y.0);
     }
 
     #[test]
     fn load_store_roundtrip_with_offset() {
-        let src: Vec<f64> = (0..10).map(|i| i as f64 * 0.5).collect();
-        let v = F64x4::load(&src[3..]);
-        assert_eq!(v.0, [1.5, 2.0, 2.5, 3.0]);
-        let mut dst = [0.0f64; 10];
+        let src: Vec<f64> = (0..14).map(|i| i as f64 * 0.5).collect();
+        let v = F64x8::load(&src[3..]);
+        let want = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0];
+        assert_eq!(v.0, want);
+        assert_eq!(F64x8::load_at(&src, 3), v);
+        let mut dst = [0.0f64; 14];
         v.store_at(&mut dst, 2);
-        assert_eq!(&dst[2..6], &[1.5, 2.0, 2.5, 3.0]);
-        assert_eq!(dst[6], 0.0);
-        assert_eq!(v.extract(2), 2.5);
+        assert_eq!(dst[1], 0.0);
+        assert_eq!(&dst[2..10], &want);
+        assert_eq!(dst[10], 0.0);
+        for (l, &w) in want.iter().enumerate() {
+            assert_eq!(v.extract(l), w);
+        }
     }
 
     #[test]
     fn map_applies_scalar_function_per_lane() {
-        let v = F64x4([1.0, 2.0, 3.0, 4.0]);
+        let v = F64x8([1.0, 2.0, 3.0, 4.0, 0.5, 1.0e-310, 1.0e30, 0.0]);
         let m = v.map(|x| x.powf(1.3));
         for l in 0..LANES {
             assert_eq!(m.0[l].to_bits(), v.0[l].powf(1.3).to_bits());
@@ -713,18 +756,23 @@ mod tests {
 
     #[test]
     fn f32_lanes_work_too() {
-        let v = F32x4([1.0, 2.0, 3.0, 4.0]);
-        let w = F32x4::splat(2.0);
-        assert_eq!((v * w).0, [2.0, 4.0, 6.0, 8.0]);
-        assert_eq!(<F32x4 as Lane<f32>>::N, LANES);
+        let v = F32x8([1.0, 2.0, 3.0, 4.0, -0.0, 1.0e-40, 1.0e30, -5.0]);
+        let w = F32x8::splat(2.0);
+        assert_eq!((v * w).0[..4], [2.0, 4.0, 6.0, 8.0]);
+        for l in 0..LANES {
+            assert_eq!((v * w).0[l].to_bits(), (v.0[l] * 2.0).to_bits());
+        }
+        // 1e30 squared overflows f32 in its lane only.
+        assert_eq!((v * v).0[6], f32::INFINITY);
+        assert_eq!(<F32x8 as Lane<f32>>::N, LANES);
         assert_eq!(<f32 as Lane<f32>>::N, 1);
     }
 
     #[test]
     fn x_walk_covers_each_point_once_at_both_widths() {
         for lanes_on in [false, true] {
-            for hi in 0..11isize {
-                let mut out = [0.0f64; 12];
+            for hi in 0..20isize {
+                let mut out = [0.0f64; 21];
                 let mut widths = Vec::new();
                 crate::x_walk!(f64, lanes_on, 1..hi, |lw, i| {
                     let v = lw.from_fn(|e| (i + e as isize) as f64);
@@ -760,7 +808,8 @@ mod tests {
             }
             acc
         }
-        assert_eq!(sum_lanes(&[1.0f64, 2.0, 3.0, 4.0]), 10.0);
-        assert_eq!(sum_lanes(&[1.0f32, 2.0, 3.0, 4.0]), 10.0);
+        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+        assert_eq!(sum_lanes(&xs.map(|x: f64| x)), 36.0);
+        assert_eq!(sum_lanes(&xs.map(|x: f64| x as f32)), 36.0);
     }
 }

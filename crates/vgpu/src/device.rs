@@ -254,7 +254,7 @@ impl<R: Real> Device<R> {
         Ok(())
     }
 
-    /// Whether Functional kernel bodies should take their 4-wide lane
+    /// Whether Functional kernel bodies should take their 8-wide lane
     /// x-walks (from [`DeviceSpec::host_simd`]); results are bitwise
     /// identical either way — kernels consult this so the width-1 walk
     /// stays exercisable via `ASUCA_SIMD=0`.

@@ -47,7 +47,7 @@ pub struct DeviceSpec {
     /// in parallel over y-slabs. Affects only the host wall clock of
     /// functional runs — never the simulated timeline.
     pub host_threads: usize,
-    /// Whether Functional-mode kernel bodies take their 4-wide SIMD
+    /// Whether Functional-mode kernel bodies take their 8-wide SIMD
     /// x-walks (`numerics::simd`) and, on AVX2+FMA hosts, their
     /// `simd_kernel!` AVX2 twins. Bitwise identical to the width-1 walk
     /// by construction; like `host_threads`, affects only the host wall

@@ -5,8 +5,8 @@
 //! setting (each grid point is computed by exactly one worker from the
 //! same inputs with the same operation order, and every lane op is the
 //! same scalar op per element, so there is no rounding ambiguity to
-//! hide behind). The matrix runs in both precisions, and on a grid
-//! whose x-extent is not a multiple of the lane width, so the 4-wide
+//! hide behind). The matrix runs in both precisions, and on grids
+//! whose x-extent is not a multiple of the lane width, so the 8-wide
 //! pass and the width-1 remainder meet inside every row.
 
 use asuca_gpu::SingleGpu;
@@ -91,14 +91,18 @@ fn assert_states_identical(base: &dycore::State, other: &dycore::State, label: &
 #[test]
 fn thread_count_and_simd_never_change_results_or_simulated_time() {
     // 16 is a multiple of the lane width; 18 leaves a width-1 remainder
-    // of 2 in every interior row. The checksums of the single-threaded
-    // width-1 base runs were recorded from the hand-written scalar
-    // loops that preceded the shared kernel bodies, so a change to a
-    // body that moves bits at every width still fails here. They hold
-    // for x86-64 Linux; another libm may round `powf`/`exp` differently.
+    // of 2 in every interior row, and 21 one of 5 (6 in the 22-point
+    // walks over a row's x faces). The checksums of the
+    // single-threaded width-1 base runs were recorded from the
+    // hand-written scalar loops that preceded the shared kernel bodies
+    // (16 and 18) and from the code before the lanes went 8 wide (21),
+    // so a change to a body that moves bits at every width
+    // still fails here. They hold for x86-64 Linux; another libm may
+    // round `powf`/`exp` differently.
     for (grid, sum_f64, sum_f32) in [
         ((16, 12, 10), 0xe93f_fef3_d609_a53d, 0xc60f_80bf_82a0_a8b9),
         ((18, 12, 10), 0x31c5_3f84_b680_41f0, 0xb7ba_7684_f1a3_dba5),
+        ((21, 12, 10), 0x6bf8_1117_a349_6b2c, 0xa36d_622f_273b_e04b),
     ] {
         threads_by_simd_matrix::<f64>(grid, sum_f64);
         threads_by_simd_matrix::<f32>(grid, sum_f32);
