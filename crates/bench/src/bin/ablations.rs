@@ -1,11 +1,13 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablations of the design choices DESIGN.md calls out, on the
+//! simulated clock:
 //!
-//! * array ordering — the XZY (coalesced) order vs the CPU's KIJ order
-//!   on the GPU (§IV-A.1: "the kij-ordering, which works well on CPUs,
-//!   should be avoided on GPUs");
-//! * shared-memory staging of the advection stencil on vs off (Fig. 3);
-//! * the three overlap methods individually (§V-A);
-//! * thread-block shape for the advection kernel (§IV-A.2).
+//! 1. array ordering — the XZY (coalesced) order vs the CPU's KIJ order
+//!    on the GPU (§IV-A.1: "the kij-ordering, which works well on CPUs,
+//!    should be avoided on GPUs");
+//! 2. shared-memory staging of the advection stencil on vs off (Fig. 3);
+//! 3. overlap (methods 1+2+3 together) on vs off at 48 GPUs (§V-A);
+//! 4. thread-block shape for the advection kernel (§IV-A.2);
+//! 5. single vs double precision for the whole model on one GPU.
 
 use asuca_bench::paper_subdomain;
 use asuca_gpu::kernels::advection::{

@@ -6,8 +6,9 @@
 //! * the **simulated clock** of the vgpu/cluster substrates, which the
 //!   harness binaries report (it reproduces the paper's numbers
 //!   independent of the host machine), and
-//! * the **wall clock** measured by the Criterion benches in
-//!   `benches/`, which characterizes this Rust implementation itself.
+//! * the **wall clock** measured by the `wallclock` binary (and, per
+//!   kernel, by the separate `perfbench` package), which characterizes
+//!   this Rust implementation itself.
 
 use dycore::config::{ModelConfig, Terrain};
 

@@ -7,7 +7,7 @@
 //! prescribes ("virtually eliminates all the host-GPU memory transfers
 //! during simulation runs").
 
-use crate::geom::{relayout_from_xzy, relayout_to_xzy, upload_field, DeviceGeom};
+use crate::geom::{relayout_from_xzy, relayout_to_xzy, DeviceGeom};
 use dycore::state::State;
 use numerics::Real;
 use vgpu::{Buf, Device, ExecMode, StreamId};
@@ -229,16 +229,6 @@ impl<R: Real> DeviceState<R> {
         let wlevels = 6;
         ((centers * geom_c_len + wlevels * geom_w_len + plane_len) * R::BYTES) as u64
     }
-}
-
-/// Convenience: upload a fresh copy of a host field as a new buffer
-/// (re-exported for tests/benches).
-pub use crate::geom::upload_field as upload_new_field;
-
-/// Ensure `upload_field` is linked (used by geom already).
-#[allow(dead_code)]
-fn _touch<R: Real>(dev: &mut Device<R>, f: &numerics::Field3<f64>, d: crate::view::Dims) -> Buf<R> {
-    upload_field(dev, f, d)
 }
 
 #[cfg(test)]

@@ -60,6 +60,8 @@ pub fn relayout_to_xzy<R: Real>(f: &Field3<f64>, dims: Dims) -> Vec<R> {
 
 /// Inverse transform: XZY `R` device data back into a KIJ `f64` field.
 pub fn relayout_from_xzy<R: Real>(data: &[R], dims: Dims, f: &mut Field3<f64>) {
+    assert_eq!(f.halo(), dims.halo);
+    assert_eq!((f.nx(), f.ny(), f.nz()), (dims.nx, dims.ny, dims.nl));
     let h = dims.halo as isize;
     for j in -h..dims.ny as isize + h {
         for k in -h..dims.nl as isize + h {
@@ -93,11 +95,6 @@ fn upload_plane<R: Real>(
         dev.copy_h2d_phantom(StreamId::DEFAULT, dims.len());
     }
     buf
-}
-
-/// Upload a KIJ f64 field to the device in XZY order.
-pub fn upload_field<R: Real>(dev: &mut Device<R>, f: &Field3<f64>, dims: Dims) -> Buf<R> {
-    upload_field_labeled(dev, f, dims, "")
 }
 
 /// Upload a KIJ f64 field to the device in XZY order, tagging the
@@ -295,14 +292,21 @@ mod tests {
 
     #[test]
     fn relayout_roundtrip() {
-        let f = Field3::<f64>::from_fn(5, 4, 3, 2, numerics::Layout::KIJ, |i, j, k| {
-            (i * 100 + j * 10 + k) as f64
-        });
+        let f = Field3::<f64>::from_fn(5, 4, 3, 2, |i, j, k| (i * 100 + j * 10 + k) as f64);
         let dims = Dims::center(5, 4, 3, 2);
         let xzy = relayout_to_xzy::<f64>(&f, dims);
-        let mut back = Field3::<f64>::new(5, 4, 3, 2, numerics::Layout::KIJ);
+        let mut back = Field3::<f64>::new(5, 4, 3, 2);
         relayout_from_xzy(&xzy, dims, &mut back);
         assert_eq!(back.max_diff(&f), 0.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn relayout_from_xzy_rejects_a_larger_field() {
+        let dims = Dims::center(5, 4, 3, 2);
+        let xzy = vec![0.0f64; dims.len()];
+        let mut wider_halo = Field3::<f64>::new(5, 4, 3, 3);
+        relayout_from_xzy(&xzy, dims, &mut wider_halo);
     }
 
     #[test]
@@ -329,8 +333,7 @@ mod tests {
 
     #[test]
     fn precision_conversion_in_relayout() {
-        let f =
-            Field3::<f64>::from_fn(3, 3, 3, 1, numerics::Layout::KIJ, |i, _, _| i as f64 + 0.25);
+        let f = Field3::<f64>::from_fn(3, 3, 3, 1, |i, _, _| i as f64 + 0.25);
         let dims = Dims::center(3, 3, 3, 1);
         let xzy = relayout_to_xzy::<f32>(&f, dims);
         assert_eq!(xzy[dims.off(2, 0, 0)], 2.25f32);

@@ -13,7 +13,7 @@
 //! linearly to zero at the lid.
 
 use crate::config::{ModelConfig, Terrain};
-use numerics::{Field3, Layout};
+use numerics::Field3;
 use physics::base::BaseState;
 use physics::consts::GRAV;
 
@@ -231,12 +231,12 @@ impl Grid {
 
     /// Allocate a center-staggered scalar field (nz levels).
     pub fn center_field(&self) -> Field3<f64> {
-        Field3::new(self.nx, self.ny, self.nz, HALO, Layout::KIJ)
+        Field3::new(self.nx, self.ny, self.nz, HALO)
     }
 
     /// Allocate a w-staggered field (nz + 1 levels).
     pub fn w_field(&self) -> Field3<f64> {
-        Field3::new(self.nx, self.ny, self.nz + 1, HALO, Layout::KIJ)
+        Field3::new(self.nx, self.ny, self.nz + 1, HALO)
     }
 }
 

@@ -43,13 +43,7 @@ impl State {
             th: grid.center_field(),
             q: (0..n_tracers).map(|_| grid.center_field()).collect(),
             p: grid.center_field(),
-            precip: Field3::new(
-                grid.nx,
-                grid.ny,
-                1,
-                crate::grid::HALO,
-                numerics::Layout::KIJ,
-            ),
+            precip: Field3::new(grid.nx, grid.ny, 1, crate::grid::HALO),
         }
     }
 

@@ -1,4 +1,4 @@
-//! Halo-padded 3-D fields with runtime-selectable memory layout.
+//! Halo-padded 3-D host fields in `kij` order.
 //!
 //! Grid convention (Arakawa C, Lorenz levels, as in ASUCA):
 //!
@@ -13,12 +13,15 @@
 //! The halo (ghost-cell) width is chosen by the caller; the Koren-limited
 //! advection stencil needs 2. Halo cells are addressed with negative /
 //! past-the-end logical indices.
+//!
+//! Storage is the original Fortran/CPU `kij` order (§IV-A.1): z fastest,
+//! then x, then y, so a vertical column is contiguous. The GPU's
+//! x-fastest order is applied at upload, not carried by the field.
 
-use crate::layout::Layout;
 use crate::real::Real;
 
-/// A 3-D array of `R` with `h`-wide halos on every face and an explicit
-/// memory [`Layout`].
+/// A 3-D array of `R` with `h`-wide halos on every face, stored z
+/// fastest, then x, then y.
 #[derive(Debug, Clone)]
 pub struct Field3<R> {
     data: Vec<R>,
@@ -26,32 +29,29 @@ pub struct Field3<R> {
     ny: usize,
     nz: usize,
     halo: usize,
-    layout: Layout,
+    /// x stride: one padded column, `nz + 2·halo`.
     sx: usize,
+    /// y stride: one padded x-z plane, `(nx + 2·halo)·(nz + 2·halo)`.
     sy: usize,
-    sz: usize,
 }
 
 impl<R: Real> Field3<R> {
     /// Zero-filled field of interior size `(nx, ny, nz)` with `halo` ghost
-    /// cells on every face, stored in `layout` order.
-    pub fn new(nx: usize, ny: usize, nz: usize, halo: usize, layout: Layout) -> Self {
+    /// cells on every face.
+    pub fn new(nx: usize, ny: usize, nz: usize, halo: usize) -> Self {
         assert!(
             nx > 0 && ny > 0 && nz > 0,
             "field dimensions must be positive"
         );
         let (px, py, pz) = (nx + 2 * halo, ny + 2 * halo, nz + 2 * halo);
-        let (sx, sy, sz) = layout.strides(px, py, pz);
         Field3 {
             data: vec![R::ZERO; px * py * pz],
             nx,
             ny,
             nz,
             halo,
-            layout,
-            sx,
-            sy,
-            sz,
+            sx: pz,
+            sy: px * pz,
         }
     }
 
@@ -61,10 +61,9 @@ impl<R: Real> Field3<R> {
         ny: usize,
         nz: usize,
         halo: usize,
-        layout: Layout,
         mut f: impl FnMut(usize, usize, usize) -> R,
     ) -> Self {
-        let mut field = Self::new(nx, ny, nz, halo, layout);
+        let mut field = Self::new(nx, ny, nz, halo);
         for j in 0..ny {
             for i in 0..nx {
                 for k in 0..nz {
@@ -92,25 +91,16 @@ impl<R: Real> Field3<R> {
     pub fn halo(&self) -> usize {
         self.halo
     }
-    #[inline(always)]
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
     /// Number of interior points.
     #[inline]
     pub fn interior_len(&self) -> usize {
         self.nx * self.ny * self.nz
     }
-    /// Total allocated elements including halos.
-    #[inline]
-    pub fn padded_len(&self) -> usize {
-        self.data.len()
-    }
 
     /// Linear offset of logical index `(i, j, k)`; halos addressed with
     /// negative / past-the-end indices.
     #[inline(always)]
-    pub fn offset(&self, i: isize, j: isize, k: isize) -> usize {
+    fn offset(&self, i: isize, j: isize, k: isize) -> usize {
         let h = self.halo as isize;
         debug_assert!(
             i >= -h
@@ -125,7 +115,7 @@ impl<R: Real> Field3<R> {
             self.nz,
             self.halo
         );
-        (i + h) as usize * self.sx + (j + h) as usize * self.sy + (k + h) as usize * self.sz
+        (i + h) as usize * self.sx + (j + h) as usize * self.sy + (k + h) as usize
     }
 
     #[inline(always)]
@@ -145,51 +135,15 @@ impl<R: Real> Field3<R> {
         self.data[off] += v;
     }
 
-    /// Raw backing slice (padded, layout order).
+    /// Raw backing slice (padded, `kij` order).
     #[inline]
     pub fn raw(&self) -> &[R] {
         &self.data
-    }
-    /// Mutable raw backing slice.
-    #[inline]
-    pub fn raw_mut(&mut self) -> &mut [R] {
-        &mut self.data
     }
 
     /// Fill the whole allocation (interior + halos) with `v`.
     pub fn fill(&mut self, v: R) {
         self.data.fill(v);
-    }
-
-    /// Visit every interior point, mutably.
-    pub fn for_each_interior(&mut self, mut f: impl FnMut(usize, usize, usize, &mut R)) {
-        for j in 0..self.ny {
-            for i in 0..self.nx {
-                for k in 0..self.nz {
-                    let off = self.offset(i as isize, j as isize, k as isize);
-                    f(i, j, k, &mut self.data[off]);
-                }
-            }
-        }
-    }
-
-    /// Copy the interior of `src` into `self` (layouts may differ; sizes
-    /// and halos must match). This is the relayout ("transpose") operation
-    /// the GPU port performs when importing CPU-ordered input data.
-    pub fn copy_interior_from(&mut self, src: &Field3<R>) {
-        assert_eq!(
-            (self.nx, self.ny, self.nz),
-            (src.nx, src.ny, src.nz),
-            "interior size mismatch"
-        );
-        for j in 0..self.ny as isize {
-            for i in 0..self.nx as isize {
-                for k in 0..self.nz as isize {
-                    let v = src.at(i, j, k);
-                    self.set(i, j, k, v);
-                }
-            }
-        }
     }
 
     /// Copy interior *and* halo cells from `src` (sizes, halos must match).
@@ -198,20 +152,7 @@ impl<R: Real> Field3<R> {
             (self.nx, self.ny, self.nz, self.halo),
             (src.nx, src.ny, src.nz, src.halo)
         );
-        let h = self.halo as isize;
-        for j in -h..self.ny as isize + h {
-            for i in -h..self.nx as isize + h {
-                for k in -h..self.nz as isize + h {
-                    let v = src.at(i, j, k);
-                    self.set(i, j, k, v);
-                }
-            }
-        }
-    }
-
-    /// Return a same-shape zero field.
-    pub fn like(&self) -> Field3<R> {
-        Field3::new(self.nx, self.ny, self.nz, self.halo, self.layout)
+        self.data.copy_from_slice(&src.data);
     }
 
     /// Exchange lateral halos periodically in x and y (single-domain case).
@@ -307,24 +248,6 @@ impl<R: Real> Field3<R> {
         }
         m
     }
-
-    /// Convert every element to `f64` (fresh field, same layout/halo).
-    pub fn to_f64(&self) -> Field3<f64> {
-        let mut out = Field3::<f64>::new(self.nx, self.ny, self.nz, self.halo, self.layout);
-        for (dst, src) in out.data.iter_mut().zip(self.data.iter()) {
-            *dst = src.to_f64();
-        }
-        out
-    }
-
-    /// Convert from an `f64` field, rounding into `R`.
-    pub fn from_f64_field(src: &Field3<f64>) -> Field3<R> {
-        let mut out = Field3::<R>::new(src.nx, src.ny, src.nz, src.halo, src.layout);
-        for (dst, s) in out.data.iter_mut().zip(src.data.iter()) {
-            *dst = R::from_f64(*s);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -332,35 +255,60 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_set_get_both_layouts() {
-        for layout in [Layout::KIJ, Layout::XZY] {
-            let mut f = Field3::<f64>::new(4, 5, 6, 2, layout);
-            let mut v = 0.0;
-            for j in -2..7isize {
-                for i in -2..6isize {
-                    for k in -2..8isize {
-                        f.set(i, j, k, v);
-                        v += 1.0;
-                    }
+    fn roundtrip_set_get() {
+        let mut f = Field3::<f64>::new(4, 5, 6, 2);
+        let mut v = 0.0;
+        for j in -2..7isize {
+            for i in -2..6isize {
+                for k in -2..8isize {
+                    f.set(i, j, k, v);
+                    v += 1.0;
                 }
             }
-            let mut v = 0.0;
-            for j in -2..7isize {
-                for i in -2..6isize {
-                    for k in -2..8isize {
-                        assert_eq!(f.at(i, j, k), v);
-                        v += 1.0;
-                    }
+        }
+        let mut v = 0.0;
+        for j in -2..7isize {
+            for i in -2..6isize {
+                for k in -2..8isize {
+                    assert_eq!(f.at(i, j, k), v);
+                    v += 1.0;
                 }
             }
         }
     }
 
     #[test]
+    fn kij_strides_are_z_fastest() {
+        // Padded box 4 x 5 x 6: offset = k + 6 * (i + 4 * j).
+        let f = Field3::<f64>::new(2, 3, 4, 1);
+        assert_eq!(f.offset(-1, -1, -1), 0);
+        assert_eq!(f.offset(-1, -1, 0), 1);
+        assert_eq!(f.offset(0, -1, -1), 6);
+        assert_eq!(f.offset(-1, 0, -1), 24);
+        assert_eq!(f.offset(2, 3, 4), 119);
+    }
+
+    #[test]
+    fn offsets_cover_padded_box_without_overlap() {
+        // Every cell of the padded box maps to a unique offset in
+        // [0, px*py*pz).
+        let f = Field3::<f64>::new(3, 4, 5, 2);
+        let mut seen = vec![false; f.raw().len()];
+        for j in -2..6isize {
+            for i in -2..5isize {
+                for k in -2..7isize {
+                    let off = f.offset(i, j, k);
+                    assert!(!seen[off], "collision at {i},{j},{k}");
+                    seen[off] = true;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
     fn from_fn_fills_interior() {
-        let f = Field3::<f32>::from_fn(3, 3, 3, 1, Layout::XZY, |i, j, k| {
-            (i + 10 * j + 100 * k) as f32
-        });
+        let f = Field3::<f32>::from_fn(3, 3, 3, 1, |i, j, k| (i + 10 * j + 100 * k) as f32);
         assert_eq!(f.at(2, 1, 0), 12.0);
         assert_eq!(f.at(0, 0, 2), 200.0);
         // halo untouched
@@ -368,20 +316,8 @@ mod tests {
     }
 
     #[test]
-    fn relayout_preserves_interior() {
-        let a = Field3::<f64>::from_fn(5, 4, 3, 2, Layout::KIJ, |i, j, k| {
-            (i * 100 + j * 10 + k) as f64
-        });
-        let mut b = Field3::<f64>::new(5, 4, 3, 2, Layout::XZY);
-        b.copy_interior_from(&a);
-        assert_eq!(b.max_diff(&a), 0.0);
-    }
-
-    #[test]
     fn periodic_halo_wraps_x_and_y() {
-        let mut f = Field3::<f64>::from_fn(4, 3, 2, 2, Layout::XZY, |i, j, k| {
-            (i * 100 + j * 10 + k) as f64
-        });
+        let mut f = Field3::<f64>::from_fn(4, 3, 2, 2, |i, j, k| (i * 100 + j * 10 + k) as f64);
         f.fill_halo_periodic_xy();
         assert_eq!(f.at(-1, 0, 0), f.at(3, 0, 0));
         assert_eq!(f.at(-2, 1, 1), f.at(2, 1, 1));
@@ -396,7 +332,7 @@ mod tests {
 
     #[test]
     fn zero_gradient_z_copies_boundary_levels() {
-        let mut f = Field3::<f64>::from_fn(2, 2, 4, 1, Layout::KIJ, |_, _, k| k as f64 + 1.0);
+        let mut f = Field3::<f64>::from_fn(2, 2, 4, 1, |_, _, k| k as f64 + 1.0);
         f.fill_halo_zero_gradient_z();
         assert_eq!(f.at(0, 0, -1), 1.0);
         assert_eq!(f.at(1, 1, 4), 4.0);
@@ -404,32 +340,17 @@ mod tests {
 
     #[test]
     fn sum_and_max_abs() {
-        let f = Field3::<f64>::from_fn(
-            3,
-            3,
-            3,
-            1,
-            Layout::KIJ,
-            |i, _, _| if i == 0 { -2.0 } else { 1.0 },
-        );
+        let f = Field3::<f64>::from_fn(3, 3, 3, 1, |i, _, _| if i == 0 { -2.0 } else { 1.0 });
         assert_eq!(f.max_abs(), 2.0);
         // 9 cells at -2, 18 cells at 1
         assert_eq!(f.sum_interior(), -18.0 + 18.0);
     }
 
     #[test]
-    fn precision_conversion_roundtrip() {
-        let a = Field3::<f32>::from_fn(3, 2, 2, 1, Layout::XZY, |i, j, k| (i + j + k) as f32 * 0.5);
-        let wide = a.to_f64();
-        let narrow: Field3<f32> = Field3::<f32>::from_f64_field(&wide);
-        assert_eq!(narrow.max_diff(&a), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "out of halo-padded range")]
     #[cfg(debug_assertions)]
     fn out_of_range_panics_in_debug() {
-        let f = Field3::<f64>::new(2, 2, 2, 1, Layout::KIJ);
+        let f = Field3::<f64>::new(2, 2, 2, 1);
         let _ = f.at(3, 0, 0);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! ASUCA employs the limiter of Koren (1993) to keep the third-order
 //! upwind-biased (κ = 1/3) reconstruction monotone and free of spurious
-//! oscillations (§II of the paper). The alternatives here are exercised by
-//! the `ablation_limiters` bench and by property tests.
+//! oscillations (§II of the paper). The alternatives here can be selected
+//! with `ModelConfig::limiter` and are exercised by tests.
 
 use crate::real::Real;
 use crate::simd::Lane;

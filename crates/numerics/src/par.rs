@@ -1,9 +1,10 @@
 //! Slab-partitioning helpers for parallel iteration over the
 //! slowest-varying (y) dimension.
 //!
-//! Both array layouts in this workspace place `y` outermost, so splitting
-//! the domain into `[j0, j1)` slabs gives contiguous, disjoint memory
-//! ranges — the natural shared-memory parallelization for stencil sweeps.
+//! Host fields (KIJ) and device buffers (XZY) both place `y` outermost,
+//! so splitting the domain into `[j0, j1)` slabs gives contiguous,
+//! disjoint memory ranges — the natural shared-memory parallelization
+//! for stencil sweeps.
 //! This module only *computes* the partition; execution lives in the one
 //! thread-pool implementation of the workspace, `vgpu::pool::WorkerPool`
 //! (this crate sits below `vgpu` in the dependency graph).

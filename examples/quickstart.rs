@@ -53,7 +53,7 @@ fn main() {
         diff_u < 1e-8 && diff_th < 1e-6,
         "GPU port diverged from the CPU reference"
     );
-    println!("agreement within machine round-off — the paper's correctness criterion holds.");
+    println!("agreement within machine round-off — the paper's correctness check holds.");
 
     // Simulated performance on the Tesla S1070 model.
     let (flops, ksecs) = gpu.dev.profiler.flops_and_time();

@@ -2,13 +2,15 @@
 //! deterministic xorshift sampler (the workspace builds offline, so no
 //! proptest; each case sweeps a seeded sample set instead).
 
+use asuca_gpu::geom::{relayout_from_xzy, relayout_to_xzy};
+use asuca_gpu::view::Dims;
 use dycore::config::{ModelConfig, Terrain};
 use dycore::grid::Grid;
 use dycore::ops;
 use dycore::state::State;
 use numerics::limiter::{limited_face_value, limited_flux, Limiter};
 use numerics::tridiag;
-use numerics::{Field3, Layout};
+use numerics::Field3;
 
 /// Deterministic xorshift64* sampler in [-0.5, 0.5).
 struct Sampler {
@@ -154,17 +156,40 @@ fn advection_conserves() {
     }
 }
 
-/// Layout relayout is a bijection: KIJ -> XZY -> KIJ roundtrips.
+/// The upload transform is a bijection on the padded box: host KIJ ->
+/// device XZY -> host KIJ returns every cell, halos included, bitwise in
+/// `f64` and rounded once to `f32` in single precision.
 #[test]
 fn layout_roundtrip() {
     for seed in 0..32u64 {
         let mut rng = Sampler::new(seed.wrapping_add(7));
-        let a = Field3::<f64>::from_fn(5, 4, 3, 2, Layout::KIJ, |_, _, _| rng.next());
-        let mut b = Field3::<f64>::new(5, 4, 3, 2, Layout::XZY);
-        b.copy_interior_from(&a);
-        let mut c2 = Field3::<f64>::new(5, 4, 3, 2, Layout::KIJ);
-        c2.copy_interior_from(&b);
-        assert_eq!(c2.max_diff(&a), 0.0, "seed {seed}");
+        let mut draw = |lo: usize, hi: usize| lo + (rng.range(0.0, (hi - lo + 1) as f64) as usize);
+        // nz >= 2: a one-level `Dims` is a 2-D plane, not a 3-D box.
+        let (nx, ny, nz, halo) = (draw(1, 7), draw(1, 6), draw(2, 6), draw(0, 3));
+        let dims = Dims::center(nx, ny, nz, halo);
+        let mut a = Field3::<f64>::new(nx, ny, nz, halo);
+        let h = halo as isize;
+        for j in -h..(ny + halo) as isize {
+            for i in -h..(nx + halo) as isize {
+                for k in -h..(nz + halo) as isize {
+                    a.set(i, j, k, rng.range(-1e3, 1e3));
+                }
+            }
+        }
+        let what = format!("seed {seed} {nx}x{ny}x{nz} halo {halo}");
+
+        let mut back = Field3::<f64>::new(nx, ny, nz, halo);
+        relayout_from_xzy(&relayout_to_xzy::<f64>(&a, dims), dims, &mut back);
+        for (n, (x, y)) in a.raw().iter().zip(back.raw()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "f64 element {n}: {what}");
+        }
+
+        let mut back = Field3::<f64>::new(nx, ny, nz, halo);
+        relayout_from_xzy(&relayout_to_xzy::<f32>(&a, dims), dims, &mut back);
+        for (n, (x, y)) in a.raw().iter().zip(back.raw()).enumerate() {
+            let rounded = *x as f32 as f64;
+            assert_eq!(rounded.to_bits(), y.to_bits(), "f32 element {n}: {what}");
+        }
     }
 }
 
