@@ -41,6 +41,20 @@ pub struct DeviceGeom<R: Real> {
     pub c2m: Buf<R>,
 }
 
+/// The host levels a relayout walks. A one-level plane
+/// ([`Dims::plane`], e.g. `State::precip`) stores k = 0 only, and
+/// `Dims::off` ignores k for it, so walking the host field's padded
+/// levels would land them all on one cell; a 3-D field walks its
+/// padded levels.
+fn relayout_levels(dims: Dims) -> std::ops::Range<isize> {
+    if dims.nl == 1 {
+        0..1
+    } else {
+        let h = dims.halo as isize;
+        -h..dims.nl as isize + h
+    }
+}
+
 /// Convert a KIJ `f64` host field into an XZY `R` vector ready for
 /// device upload (the layout transformation of §IV-A.1).
 pub fn relayout_to_xzy<R: Real>(f: &Field3<f64>, dims: Dims) -> Vec<R> {
@@ -49,7 +63,7 @@ pub fn relayout_to_xzy<R: Real>(f: &Field3<f64>, dims: Dims) -> Vec<R> {
     let h = dims.halo as isize;
     let mut out = vec![R::ZERO; dims.len()];
     for j in -h..dims.ny as isize + h {
-        for k in -h..dims.nl as isize + h {
+        for k in relayout_levels(dims) {
             for i in -h..dims.nx as isize + h {
                 out[dims.off(i, j, k)] = R::from_f64(f.at(i, j, k));
             }
@@ -64,7 +78,7 @@ pub fn relayout_from_xzy<R: Real>(data: &[R], dims: Dims, f: &mut Field3<f64>) {
     assert_eq!((f.nx(), f.ny(), f.nz()), (dims.nx, dims.ny, dims.nl));
     let h = dims.halo as isize;
     for j in -h..dims.ny as isize + h {
-        for k in -h..dims.nl as isize + h {
+        for k in relayout_levels(dims) {
             for i in -h..dims.nx as isize + h {
                 f.set(i, j, k, data[dims.off(i, j, k)].to_f64());
             }
@@ -298,6 +312,20 @@ mod tests {
         let mut back = Field3::<f64>::new(5, 4, 3, 2);
         relayout_from_xzy(&xzy, dims, &mut back);
         assert_eq!(back.max_diff(&f), 0.0);
+    }
+
+    #[test]
+    fn relayout_of_a_plane_keeps_its_ground_level() {
+        // Rain on the ground (k = 0) and zero halo levels, as the CPU
+        // model leaves `State::precip`.
+        let f = Field3::<f64>::from_fn(5, 4, 1, 2, |i, j, _| 5.0 + (i * 10 + j) as f64);
+        let dims = Dims::plane(5, 4, 2);
+        let xzy = relayout_to_xzy::<f64>(&f, dims);
+        assert_eq!(xzy[dims.off(1, 2, 0)], f.at(1, 2, 0));
+        let mut back = Field3::<f64>::new(5, 4, 1, 2);
+        relayout_from_xzy(&xzy, dims, &mut back);
+        assert_eq!(back.max_diff(&f), 0.0);
+        assert_eq!((back.at(1, 2, -1), back.at(1, 2, 1)), (0.0, 0.0));
     }
 
     #[test]

@@ -22,7 +22,8 @@ use numerics::Real;
 /// recorded on its launch (informational — never priced by the cost
 /// model): `R::Lane::N` when lanes are on and a whole lane fits in the
 /// widest row, else 1. A `Region::XBound` strip is `halo` = 2 columns
-/// wide, so its launches run, and record, width 1.
+/// wide, so its launches record width 1 (and, in the kernels that walk
+/// their region, run it; [`Region::launch_split`] runs no body there).
 pub(crate) fn walk_lanes<R: Real>(lanes_on: bool, widest: isize) -> u32 {
     let n = <R::Lane as Lane<R>>::N;
     if lanes_on && widest >= n as isize {

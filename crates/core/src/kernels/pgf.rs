@@ -13,7 +13,8 @@ use crate::view::{V3SlabMut, V3};
 use vgpu::{Buf, Device, KernelCost, Launch, StreamId, VgpuError};
 
 numerics::simd_kernel! {
-/// `U += Δτ (−G_u ∂x p + F_U)` over `region`.
+/// `U += Δτ (−G_u ∂x p + F_U)` over `region` (a logical launch:
+/// [`Region::launch_split`]).
 #[allow(clippy::too_many_arguments)]
 pub fn momentum_x<R: Real>(
     dev: &mut Device<R>,
@@ -38,9 +39,10 @@ pub fn momentum_x<R: Real>(
     let inv_dx = R::from_f64(1.0 / geom.dx);
     let dt = R::from_f64(dtau);
     let gub = geom.g_u;
-    let nzi = nz as isize;
+    let (nxi, nzi) = (nx as isize, nz as isize);
     let lanes_on = dev.simd_enabled();
-    dev.launch_par(
+    region.launch_split(
+        dev,
         stream,
         Launch::new(kn.get(region), gd, bd, cost)
             .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
@@ -58,24 +60,22 @@ pub fn momentum_x<R: Real>(
             let fv = V3::new(&f_r, dc);
             let gv = V3::new(&g_r, dp);
             let mut uv = V3SlabMut::new(&mut u_s, dc, sj0);
-            for r in &rects {
-                for j in r.j0.max(sj0)..r.j1.min(sj1) {
-                    let g_row = gv.row(j, 0);
-                    for k in 0..nzi {
-                        let p_row = pv.row(j, k);
-                        let f_row = fv.row(j, k);
-                        let mut u_row = uv.row_mut(j, k);
-                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
-                            let vdx = lw.splat(inv_dx);
-                            let vdt = lw.splat(dt);
-                            let dpdx = (p_row.lanes(lw, i + 1) - p_row.lanes(lw, i)) * vdx;
-                            u_row.add_lanes(
-                                lw,
-                                i,
-                                vdt * (-g_row.lanes(lw, i) * dpdx + f_row.lanes(lw, i)),
-                            );
-                        });
-                    }
+            for j in sj0..sj1 {
+                let g_row = gv.row(j, 0);
+                for k in 0..nzi {
+                    let p_row = pv.row(j, k);
+                    let f_row = fv.row(j, k);
+                    let mut u_row = uv.row_mut(j, k);
+                    numerics::x_walk!(R, lanes_on, 0..nxi, |lw, i| {
+                        let vdx = lw.splat(inv_dx);
+                        let vdt = lw.splat(dt);
+                        let dpdx = (p_row.lanes(lw, i + 1) - p_row.lanes(lw, i)) * vdx;
+                        u_row.add_lanes(
+                            lw,
+                            i,
+                            vdt * (-g_row.lanes(lw, i) * dpdx + f_row.lanes(lw, i)),
+                        );
+                    });
                 }
             }
         },
@@ -84,7 +84,8 @@ pub fn momentum_x<R: Real>(
 }
 
 numerics::simd_kernel! {
-/// `V += Δτ (−G_v ∂y p + F_V)` over `region`.
+/// `V += Δτ (−G_v ∂y p + F_V)` over `region` (a logical launch:
+/// [`Region::launch_split`]).
 #[allow(clippy::too_many_arguments)]
 pub fn momentum_y<R: Real>(
     dev: &mut Device<R>,
@@ -109,9 +110,10 @@ pub fn momentum_y<R: Real>(
     let inv_dy = R::from_f64(1.0 / geom.dy);
     let dt = R::from_f64(dtau);
     let gvb = geom.g_v;
-    let nzi = nz as isize;
+    let (nxi, nzi) = (nx as isize, nz as isize);
     let lanes_on = dev.simd_enabled();
-    dev.launch_par(
+    region.launch_split(
+        dev,
         stream,
         Launch::new(kn.get(region), gd, bd, cost)
             .with_lanes(walk_lanes::<R>(lanes_on, widest(&rects)))
@@ -129,25 +131,23 @@ pub fn momentum_y<R: Real>(
             let fv = V3::new(&f_r, dc);
             let gv = V3::new(&g_r, dp);
             let mut vv = V3SlabMut::new(&mut v_s, dc, sj0);
-            for r in &rects {
-                for j in r.j0.max(sj0)..r.j1.min(sj1) {
-                    let g_row = gv.row(j, 0);
-                    for k in 0..nzi {
-                        let p_row = pv.row(j, k);
-                        let pjp1_row = pv.row(j + 1, k);
-                        let f_row = fv.row(j, k);
-                        let mut v_row = vv.row_mut(j, k);
-                        numerics::x_walk!(R, lanes_on, r.i0..r.i1, |lw, i| {
-                            let vdy = lw.splat(inv_dy);
-                            let vdt = lw.splat(dt);
-                            let dpdy = (pjp1_row.lanes(lw, i) - p_row.lanes(lw, i)) * vdy;
-                            v_row.add_lanes(
-                                lw,
-                                i,
-                                vdt * (-g_row.lanes(lw, i) * dpdy + f_row.lanes(lw, i)),
-                            );
-                        });
-                    }
+            for j in sj0..sj1 {
+                let g_row = gv.row(j, 0);
+                for k in 0..nzi {
+                    let p_row = pv.row(j, k);
+                    let pjp1_row = pv.row(j + 1, k);
+                    let f_row = fv.row(j, k);
+                    let mut v_row = vv.row_mut(j, k);
+                    numerics::x_walk!(R, lanes_on, 0..nxi, |lw, i| {
+                        let vdy = lw.splat(inv_dy);
+                        let vdt = lw.splat(dt);
+                        let dpdy = (pjp1_row.lanes(lw, i) - p_row.lanes(lw, i)) * vdy;
+                        v_row.add_lanes(
+                            lw,
+                            i,
+                            vdt * (-g_row.lanes(lw, i) * dpdy + f_row.lanes(lw, i)),
+                        );
+                    });
                 }
             }
         },

@@ -6,7 +6,8 @@
 //! boundary region."
 
 use crate::view::Dims;
-use vgpu::{AccessDecl, AccessRange, Buf, Dim3};
+use numerics::Real;
+use vgpu::{AccessDecl, AccessRange, Buf, Device, Dim3, Launch, MemView, StreamId, VgpuError};
 
 /// A horizontal index rectangle `[i0, i1) × [j0, j1)` (full z extent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +95,37 @@ impl Region {
     /// Total horizontal points covered.
     pub fn area(self, nx: usize, ny: usize, w: usize) -> u64 {
         self.rects(nx, ny, w).iter().map(Rect::area).sum()
+    }
+
+    /// Issue one member of a split kernel as a logical launch.
+    ///
+    /// The simulated GPU runs the paper's three launches, `.by`, `.bx`
+    /// and `.inner`, each over its own strips. The Functional host runs
+    /// the kernel body once, over the whole interior, when the overlap
+    /// schedule issues the group's first member (`YBound`); `XBound` and
+    /// `Inner` are only recorded ([`Device::record`]) at their own
+    /// positions in the stream, so the launch list, the simulated clock
+    /// and each member's declared access set stay those of three
+    /// launches. `Whole` launches as usual. `body` must therefore walk
+    /// the whole interior whatever the region.
+    ///
+    /// The bits are those of three strip bodies only for a kernel that
+    /// is column- or point-wise and whose inputs no launch issued
+    /// between its `.by` and `.inner` writes in another column: true of
+    /// `pgf::momentum_x/y` and `helmholtz::{helmholtz, density,
+    /// potential_temperature}`, the kernels that call this.
+    pub fn launch_split<R: Real>(
+        self,
+        dev: &mut Device<R>,
+        stream: StreamId,
+        launch: Launch,
+        span: usize,
+        body: impl Fn(&MemView<'_, R>, usize, usize) + Sync,
+    ) -> Result<(), VgpuError> {
+        match self {
+            Region::Whole | Region::YBound => dev.launch_par(stream, launch, span, body),
+            Region::XBound | Region::Inner => dev.record(stream, launch),
+        }
     }
 
     /// Suffix for profiler kernel names.

@@ -910,7 +910,9 @@ impl<R: Real, B> StepProgram<R, B> {
 
     /// One acoustic substep with overlap methods 2 and 3 (Fig. 8): the
     /// boundary strips of every short-step variable are computed first,
-    /// their exchange proceeds while the inner kernels run.
+    /// their exchange proceeds while the inner kernels run. That is the
+    /// simulated GPU's schedule; the Functional host runs each split
+    /// kernel's body once, at its `.by` launch ([`Region::launch_split`]).
     fn acoustic_substep_overlap(&mut self, dtau: f64) -> Result<(), ModelError> {
         // (1)+(2): boundary momentum kernels.
         for region in [Region::YBound, Region::XBound] {

@@ -382,6 +382,26 @@ impl<R: Real> Device<R> {
         Ok(())
     }
 
+    /// Record a kernel launch whose body an earlier launch of the same
+    /// logical group already ran on the host (logical launches: the
+    /// simulated GPU runs the paper's fine-grained kernel list, the
+    /// Functional host runs coarser bodies).
+    ///
+    /// Everything [`launch_par`](Self::launch_par) does except run a
+    /// body: issue overhead, stream and engine timing, the fault plan's
+    /// op index and the profiler record are identical, so Phantom and
+    /// Functional schedules stay the same. The sanitizer sees the
+    /// launch's declared reads and writes (synccheck) and no observed
+    /// trace, so racecheck, initcheck and strict have nothing to audit
+    /// here; they audited the body where it ran.
+    pub fn record(&mut self, stream: StreamId, launch: Launch) -> Result<(), VgpuError> {
+        self.note_kernel(stream, &launch)?;
+        if let Some(s) = &mut self.san {
+            s.on_launch(&launch, stream.0, None);
+        }
+        Ok(())
+    }
+
     /// The device's persistent slab-worker pool, if a multi-threaded
     /// Functional launch has created it yet.
     pub fn worker_pool(&self) -> Option<&WorkerPool> {
@@ -642,6 +662,52 @@ mod tests {
         d.sync_all();
         assert!(d.host_time() > 0.0);
         assert_eq!(d.profiler.kernel_launches, 1);
+    }
+
+    #[test]
+    fn recorded_launch_times_like_a_launch_and_runs_no_body() {
+        let run = |record: bool| {
+            let mut d = dev();
+            d.set_fault_plan(crate::fault::FaultSpec {
+                ecc_rate: 0.5,
+                straggler_rate: 0.5,
+                ..crate::fault::FaultSpec::quiet(5, 0)
+            });
+            let a = d.alloc(4).unwrap();
+            d.write_vec(a, &[0.0; 4]);
+            for _ in 0..16 {
+                let l = small_launch("k", 1 << 18);
+                if record {
+                    d.record(StreamId::DEFAULT, l).unwrap();
+                } else {
+                    d.launch_par(StreamId::DEFAULT, l, 4, |mem, j0, j1| {
+                        for x in mem.write_slab(a, j0..j1).iter_mut() {
+                            *x += 1.0;
+                        }
+                    })
+                    .unwrap();
+                }
+            }
+            d.sync_all();
+            let recs: Vec<_> = d
+                .profiler
+                .records()
+                .iter()
+                .map(|r| (r.name, r.start.to_bits(), r.end.to_bits()))
+                .collect();
+            (
+                d.host_time().to_bits(),
+                d.fault_stats(),
+                recs,
+                d.read_vec(a),
+            )
+        };
+        let (launched, recorded) = (run(false), run(true));
+        assert_eq!(launched.0, recorded.0);
+        assert_eq!(launched.1, recorded.1);
+        assert_eq!(launched.2, recorded.2);
+        assert_eq!(launched.3, vec![16.0, 16.0, 16.0, 16.0]);
+        assert_eq!(recorded.3, vec![0.0; 4]);
     }
 
     #[test]

@@ -227,11 +227,12 @@ fn trails_with_float(s: &str) -> bool {
 
 /// Is line `idx` inside a slab-parallel kernel body? Whole-buffer
 /// `mem.write` is the correct idiom in single-stream `dev.launch`
-/// bodies; it is only hazardous under `launch_par`, where slabs run
-/// concurrently. The nearest preceding launch call decides.
+/// bodies; it is only hazardous under `launch_par` (and
+/// `Region::launch_split`, which runs its body through it), where slabs
+/// run concurrently. The nearest preceding launch call decides.
 fn in_par_body(lines: &[&str], idx: usize) -> bool {
     for l in lines[..=idx].iter().rev() {
-        if l.contains(".launch_par(") {
+        if l.contains(".launch_par(") || l.contains(".launch_split(") {
             return true;
         }
         if l.contains(".launch(") {

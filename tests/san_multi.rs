@@ -76,8 +76,11 @@ fn states_checksum(states: &[State]) -> u64 {
     h
 }
 
-/// Both overlap schedules certify clean under the full sanitizer and
-/// are bitwise identical to the sanitizer-off run.
+/// Both overlap schedules certify clean under the full and the strict
+/// sanitizer and are bitwise identical to the sanitizer-off run. Strict
+/// audits each split kernel's body where it runs (the `.by` member of a
+/// logical launch) against that member's declarations. Both legs live
+/// in one test because `ASUCA_SAN` is process-wide.
 #[test]
 fn full_sanitizer_is_clean_on_multi_rank_overlap() {
     for overlap in [OverlapMode::None, OverlapMode::Overlap] {
@@ -86,19 +89,21 @@ fn full_sanitizer_is_clean_on_multi_rank_overlap() {
         assert_eq!(gold.san_findings, 0, "sanitizer off reports nothing");
         let gold_sum = states_checksum(gold.final_states.as_ref().expect("functional states"));
 
-        std::env::set_var("ASUCA_SAN", "full");
-        let audited = run_2x2(overlap);
-        std::env::remove_var("ASUCA_SAN");
-        assert_eq!(
-            audited.san_findings, 0,
-            "full sanitizer found issues in the {overlap:?} multi-rank schedule \
-             (per-rank reports on stderr)"
-        );
-        let audited_sum =
-            states_checksum(audited.final_states.as_ref().expect("functional states"));
-        assert_eq!(
-            audited_sum, gold_sum,
-            "sanitizer perturbed the {overlap:?} multi-rank run"
-        );
+        for mode in ["full", "strict"] {
+            std::env::set_var("ASUCA_SAN", mode);
+            let audited = run_2x2(overlap);
+            std::env::remove_var("ASUCA_SAN");
+            assert_eq!(
+                audited.san_findings, 0,
+                "{mode} sanitizer found issues in the {overlap:?} multi-rank schedule \
+                 (per-rank reports on stderr)"
+            );
+            let audited_sum =
+                states_checksum(audited.final_states.as_ref().expect("functional states"));
+            assert_eq!(
+                audited_sum, gold_sum,
+                "{mode} sanitizer perturbed the {overlap:?} multi-rank run"
+            );
+        }
     }
 }
